@@ -3,9 +3,10 @@
 Subcommands mirror the library: parse, genus, concat, invariants,
 equiv, commute, prime-scan.  Diagrams come in through repeated --code
 flags or a --file with one code per line (blank lines and # comments
-skipped).  Exit status is 0 when the command ran, 2 on bad input and 3
-on a bad budget; search verdicts are reported in the output, not the
-exit status.
+skipped).  Exit status is 0 when the command ran, 2 on bad input, 3 on
+a bad budget and 4 on an internal error (one line on stderr, no
+traceback); search verdicts are reported in the output, not the exit
+status.
 
 With --json every subcommand wraps its results in a run report
 {command, inputs, outputs, budget, timings} that validates against
@@ -37,6 +38,7 @@ from longvk.invariants import (
 from longvk.monoid import concat
 from longvk.search import (
     Budget,
+    _BudgetError,
     commute_check,
     default_budget,
     equivalent_within,
@@ -49,7 +51,7 @@ from longvk.surface import (
     supporting_genus,
 )
 
-OK, INPUT_ERROR, BUDGET_ERROR = 0, 2, 3
+OK, INPUT_ERROR, BUDGET_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -85,18 +87,11 @@ def _gather_codes(args: argparse.Namespace) -> list[str]:
 
 def _resolve_budget(args: argparse.Namespace, n: int) -> Budget:
     base = default_budget(n)
-    budget = Budget(
+    return Budget(
         max_crossings=args.max_crossings if args.max_crossings is not None else base.max_crossings,
         max_states=args.max_states if args.max_states is not None else base.max_states,
         max_depth=args.max_depth if args.max_depth is not None else base.max_depth,
     )
-    if budget.max_crossings < 0 or budget.max_states < 1 or budget.max_depth < 0:
-        raise _BudgetError(f"budget out of range: {budget.to_json_dict()}")
-    return budget
-
-
-class _BudgetError(ValueError):
-    pass
 
 
 def _resolve_catalog(args: argparse.Namespace) -> list[FiniteBiquandle]:
@@ -323,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GaussCodeError, ValueError, OSError) as exc:
         print(f"longvk: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:
+        print(f"longvk: internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -13,6 +13,9 @@ Inconclusive is an honest answer, never a claim.  Deterministic
 ordering (canonical codes, sorted frontiers, sorted move listings)
 makes reruns reproducible, and Verdict.to_json_dict(stable=True) drops
 the wall-clock field so equal runs serialize byte-identically.
+
+All orbit walks here (equivalence, orbit genus, prime scan) run on one
+breadth-first walker, so they read the budget the same way.
 """
 
 from __future__ import annotations
@@ -37,13 +40,30 @@ DISTINCT = "distinct"
 INCONCLUSIVE = "inconclusive"
 
 
+class _BudgetError(ValueError):
+    """A budget field is out of range."""
+
+
 @dataclass(frozen=True)
 class Budget:
-    """Caps for one search: diagram size, visited states, path length."""
+    """Caps for one search: diagram size, visited states, path length.
+
+    ``max_crossings`` bounds the size of every diagram visited.
+    ``max_states`` caps the distinct states admitted across all walked
+    orbits, roots included; the roots are always admitted, and the walk
+    stops at the first new state past the cap, so ``states_visited``
+    never exceeds ``max_states`` unless the two roots of an equivalence
+    search alone do.  ``max_depth`` caps the breadth-first layers
+    expanded, counted over both sides of an equivalence search together.
+    """
 
     max_crossings: int
     max_states: int
     max_depth: int
+
+    def __post_init__(self) -> None:
+        if self.max_crossings < 0 or self.max_states < 1 or self.max_depth < 0:
+            raise _BudgetError(f"budget out of range: {self.to_json_dict()}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,34 +121,71 @@ def _invariant_witness(
     return None
 
 
-class _Side:
-    """One frontier of the bidirectional search."""
-
-    def __init__(self, root: str) -> None:
-        self.parent: dict[str, tuple[str, MoveEvent] | None] = {root: None}
-        self.frontier: list[str] = [root]
-        self.depth = 0
-
-    def chain_to_root(self, code: str) -> list[tuple[str, MoveEvent]]:
-        """(parent code, event) steps from code back to the root."""
-        steps = []
-        while True:
-            link = self.parent[code]
-            if link is None:
-                return steps
-            steps.append(link)
-            code = link[0]
+_CLOSED, _MAX_DEPTH, _MAX_STATES = "closed", "max_depth", "max_states"
 
 
-def _build_path(
-    side_a: _Side, side_b: _Side, meet: str
-) -> tuple[MoveEvent, ...]:
-    forward = [event for _, event in reversed(side_a.chain_to_root(meet))]
-    backward = [
-        inverse_event(parse_gauss_code(parent), event)
-        for parent, event in side_b.chain_to_root(meet)
-    ]
-    return tuple(forward + backward)
+class _OrbitWalk:
+    """Breadth-first walk over the move orbits of one or two canonical roots.
+
+    Iterating yields ``(side, parent code, event, code, diagram)``: each
+    root first (parent and event None), then each newly admitted state,
+    and also each move into a state that another root's orbit owns,
+    which is how a caller sees two orbits meet.  Each layer expands the
+    smallest frontier (ties go to the first root), parents in code
+    order, children in ``enumerate_moves`` order.  States are keyed on
+    canonical codes: ``seen`` maps each code to ``(side, parent code,
+    event)``.  When iteration ends by itself, ``stop`` says why: the
+    orbit closed (a frontier ran empty), ``max_depth`` layers were
+    expanded, or the next new state would pass ``max_states``.
+    """
+
+    def __init__(self, roots: list[OpenGaussDiagram], budget: Budget) -> None:
+        self.roots = roots
+        self.budget = budget
+        self.seen: dict[str, tuple[int, str | None, MoveEvent | None]] = {}
+        self.stop: str | None = None
+
+    def __iter__(self):
+        frontiers = []
+        for side, root in enumerate(self.roots):
+            code = serialize(root)
+            self.seen[code] = (side, None, None)
+            frontiers.append([code])
+            yield side, None, None, code, root
+        depth = 0
+        while all(frontiers):
+            if depth >= self.budget.max_depth:
+                self.stop = _MAX_DEPTH
+                return
+            side = min(range(len(frontiers)), key=lambda s: len(frontiers[s]))
+            next_frontier = []
+            for code in sorted(frontiers[side]):
+                moves = enumerate_moves(parse_gauss_code(code), cap=self.budget.max_crossings)
+                for event, child in moves:
+                    child_code = serialize(child)
+                    owner = self.seen.get(child_code)
+                    if owner is None:
+                        if len(self.seen) >= self.budget.max_states:
+                            self.stop = _MAX_STATES
+                            return
+                        self.seen[child_code] = (side, code, event)
+                        next_frontier.append(child_code)
+                    elif owner[0] == side:
+                        continue
+                    yield side, code, event, child_code, child
+            frontiers[side] = next_frontier
+            depth += 1
+        self.stop = _CLOSED
+
+
+def _chain(seen: dict, code: str) -> list[tuple[str, MoveEvent]]:
+    """(parent code, event) steps from code back to its root."""
+    steps = []
+    _, parent, event = seen[code]
+    while parent is not None:
+        steps.append((parent, event))
+        _, parent, event = seen[parent]
+    return steps
 
 
 def equivalent_within(
@@ -163,40 +220,23 @@ def equivalent_within(
     if witness is not None:
         return done(DISTINCT, 0, witness=witness)
 
-    side_a, side_b = _Side(fp1), _Side(fp2)
-    states = 2
-    while side_a.frontier and side_b.frontier:
-        if side_a.depth + side_b.depth >= budget.max_depth:
-            break
-        side, other = (
-            (side_a, side_b)
-            if len(side_a.frontier) <= len(side_b.frontier)
-            else (side_b, side_a)
-        )
-        next_frontier: list[str] = []
-        for code in sorted(side.frontier):
-            d = parse_gauss_code(code)
-            for event, child in enumerate_moves(d, cap=budget.max_crossings):
-                child_code = serialize(child)
-                if child_code in other.parent:
-                    if child_code not in side.parent:
-                        side.parent[child_code] = (code, event)
-                    path = _build_path(side_a, side_b, child_code)
-                    replay = c1
-                    for step in path:
-                        replay = apply_move(replay, step)
-                    if serialize(replay) != fp2:
-                        raise AssertionError("reconstructed path does not replay")
-                    return done(EQUIVALENT, states, path=path)
-                if child_code not in side.parent:
-                    side.parent[child_code] = (code, event)
-                    next_frontier.append(child_code)
-                    states += 1
-                    if states > budget.max_states:
-                        return done(INCONCLUSIVE, states)
-        side.frontier = next_frontier
-        side.depth += 1
-    return done(INCONCLUSIVE, states)
+    walk = _OrbitWalk([c1, c2], budget)
+    for side, parent, event, code, _ in walk:
+        if walk.seen[code][0] == side:
+            continue
+        chains = [[], []]
+        chains[side] = [(parent, event)] + _chain(walk.seen, parent)
+        chains[1 - side] = _chain(walk.seen, code)
+        forward = [step for _, step in reversed(chains[0])]
+        backward = [inverse_event(parse_gauss_code(p), step) for p, step in chains[1]]
+        path = tuple(forward + backward)
+        replay = c1
+        for step in path:
+            replay = apply_move(replay, step)
+        if serialize(replay) != fp2:
+            raise AssertionError("reconstructed path does not replay")
+        return done(EQUIVALENT, len(walk.seen), path=path)
+    return done(INCONCLUSIVE, len(walk.seen))
 
 
 def min_genus_in_orbit(
@@ -211,26 +251,9 @@ def min_genus_in_orbit(
     c = canonicalize(d)
     if budget is None:
         budget = default_budget(c.n)
-    root = serialize(c)
-    best = (supporting_genus(c), c.n, root)
-    visited = {root}
-    frontier = [root]
-    depth = 0
-    while frontier and depth < budget.max_depth:
-        next_frontier = []
-        for code in sorted(frontier):
-            for _, child in enumerate_moves(parse_gauss_code(code), cap=budget.max_crossings):
-                child_code = serialize(child)
-                if child_code in visited:
-                    continue
-                visited.add(child_code)
-                best = min(best, (supporting_genus(child), child.n, child_code))
-                next_frontier.append(child_code)
-                if len(visited) >= budget.max_states:
-                    return best[0], parse_gauss_code(best[2]), len(visited)
-        frontier = next_frontier
-        depth += 1
-    return best[0], parse_gauss_code(best[2]), len(visited)
+    walk = _OrbitWalk([c], budget)
+    genus, _, code = min((supporting_genus(x), x.n, code) for _, _, _, code, x in walk)
+    return genus, parse_gauss_code(code), len(walk.seen)
 
 
 def commute_check(
@@ -283,15 +306,9 @@ def prime_scan(d: OpenGaussDiagram, budget: Budget | None = None) -> dict:
     c = canonicalize(d)
     if budget is None:
         budget = default_budget(c.n)
-    root = serialize(c)
-    visited = {root}
-    frontier = [root]
-    depth = 0
+    walk = _OrbitWalk([c], budget)
     decomposable = []
-    exhausted = True
-
-    def record(code: str) -> None:
-        diagram = parse_gauss_code(code)
+    for _, _, _, code, diagram in walk:
         interior = [g for g in cut_points(diagram) if 0 < g < 2 * diagram.n]
         if interior:
             cuts = []
@@ -299,35 +316,10 @@ def prime_scan(d: OpenGaussDiagram, budget: Budget | None = None) -> dict:
                 left, right = split_at(diagram, gap)
                 cuts.append({"gap": gap, "left": serialize(left), "right": serialize(right)})
             decomposable.append({"code": code, "cuts": cuts})
-
-    record(root)
-    while frontier:
-        if depth >= budget.max_depth:
-            exhausted = False
-            break
-        next_frontier = []
-        for code in sorted(frontier):
-            for _, child in enumerate_moves(parse_gauss_code(code), cap=budget.max_crossings):
-                child_code = serialize(child)
-                if child_code in visited:
-                    continue
-                if len(visited) >= budget.max_states:
-                    exhausted = False
-                    next_frontier = []
-                    frontier = []
-                    break
-                visited.add(child_code)
-                record(child_code)
-                next_frontier.append(child_code)
-            else:
-                continue
-            break
-        frontier = next_frontier
-        depth += 1
     return {
-        "code": root,
+        "code": serialize(c),
         "decomposable": decomposable,
-        "states_visited": len(visited),
-        "exhausted": exhausted,
+        "states_visited": len(walk.seen),
+        "exhausted": walk.stop == _CLOSED,
         "budget": budget.to_json_dict(),
     }

@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from longvk import cli
 from longvk.cli import main
 
 SCHEMA = json.loads(
@@ -170,6 +171,17 @@ def test_exit_3_on_bad_budget(capsys):
         capsys,
         ["equiv", "--code", "0", "--code", "0", "--max-depth", "-1"],
     )[0] == 3
+
+
+def test_exit_4_on_internal_error(capsys, monkeypatch):
+    def fail(diagram):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "odd_writhe", fail)
+    code, out, err = _run(capsys, ["invariants", "--code", "O1+ U1+"])
+    assert code == 4 and out == ""
+    assert err.startswith("longvk: internal error: RecursionError(")
+    assert len(err.splitlines()) == 1
 
 
 def test_unknown_subcommand_raises_system_exit(capsys):

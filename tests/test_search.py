@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
+
+from longvk.corpus import virtual_corpus
 from longvk.gauss import canonicalize, parse_gauss_code, serialize
 from longvk.invariants import dihedral_quandle
 from longvk.monoid import concat
@@ -31,6 +34,34 @@ TREFOIL_MIRROR = parse_gauss_code("U1- O2- U3- O1- U2- O3-")
 def test_default_budget_scales_with_size():
     b = default_budget(4)
     assert (b.max_crossings, b.max_states, b.max_depth) == (6, 10**6, 16)
+
+
+def test_budget_rejects_out_of_range_fields():
+    with pytest.raises(ValueError, match="budget"):
+        Budget(4, 0, 4)
+    with pytest.raises(ValueError):
+        Budget(-1, 10, 4)
+    with pytest.raises(ValueError):
+        Budget(4, 10, -1)
+
+
+# Under a 4-crossing cap the trefoil's orbit closes at 64 states, and the
+# two-root walk from the trefoil and its mirror closes at 93.
+@pytest.mark.parametrize(
+    "visit, roots, orbit",
+    [
+        (lambda b: equivalent_within(TREFOIL, TREFOIL_MIRROR, budget=b).states_visited, 2, 93),
+        (lambda b: min_genus_in_orbit(TREFOIL, budget=b)[2], 1, 64),
+        (lambda b: prime_scan(TREFOIL, budget=b)["states_visited"], 1, 64),
+    ],
+    ids=["equivalent_within", "min_genus_in_orbit", "prime_scan"],
+)
+def test_max_states_caps_admitted_states(visit, roots, orbit):
+    assert visit(Budget(4, 30, 16)) == 30
+    assert visit(Budget(4, orbit - 1, 16)) == orbit - 1
+    assert visit(Budget(4, orbit, 16)) == orbit
+    assert visit(Budget(4, 10 * orbit, 16)) == orbit
+    assert visit(Budget(4, 1, 16)) == roots
 
 
 def test_verdict_json_stable_drops_timing():
@@ -135,6 +166,18 @@ def test_commute_check_finds_the_witness_pair():
     assert v.states_visited == 0
 
 
+def test_flagship_commute_stops_on_a_closed_orbit():
+    corpus = virtual_corpus()
+    a, b = corpus["mixed_interleaved"], corpus["mixed_interleaved_swap"]
+    budget = Budget(6, 20000, 16)
+    v = commute_check(a, b, budget=budget)
+    assert v.verdict == INCONCLUSIVE
+    assert v.states_visited == 2452
+    # Not the budget: a#b has only 1226 diagrams under the 6-crossing cap.
+    orbit = prime_scan(concat(a, b), budget=budget)
+    assert orbit["exhausted"] is True and orbit["states_visited"] == 1226
+
+
 def test_commute_check_trivial_factor_commutes():
     v = commute_check(TRIVIAL, VT)
     assert v.verdict == EQUIVALENT and v.path == ()
@@ -165,3 +208,7 @@ def test_prime_scan_closed_orbit_is_exhausted():
     assert report["exhausted"] is True
     shallow = prime_scan(VT, budget=Budget(VT.n, 100, 0))
     assert shallow["exhausted"] is False
+    at_cap = prime_scan(TREFOIL, budget=Budget(4, 64, 16))
+    assert at_cap["states_visited"] == 64 and at_cap["exhausted"] is True
+    below_cap = prime_scan(TREFOIL, budget=Budget(4, 63, 16))
+    assert below_cap["states_visited"] == 63 and below_cap["exhausted"] is False
