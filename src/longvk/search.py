@@ -159,9 +159,11 @@ class _OrbitWalk:
                 return
             side = min(range(len(frontiers)), key=lambda s: len(frontiers[s]))
             next_frontier = []
+            cap = self.budget.max_crossings
             for code in sorted(frontiers[side]):
-                moves = enumerate_moves(parse_gauss_code(code), cap=self.budget.max_crossings)
-                for event, child in moves:
+                # Loop over the listing without naming it, so one parent's
+                # children are freed before the next parent's are built.
+                for event, child in enumerate_moves(parse_gauss_code(code), cap=cap):
                     child_code = serialize(child)
                     owner = self.seen.get(child_code)
                     if owner is None:
