@@ -194,25 +194,43 @@ class FiniteBiquandle:
         return report
 
     def _exchange_witness(self) -> tuple | None:
-        """Third-move identity on color triples; None when it holds.
-
-        Three strands cross pairwise, all crossings positive; sliding the
-        middle strand across must not change the three outgoing colors.
-        """
-        s = self._s
-        for t0, m0, b0 in itertools.product(range(self.m), repeat=3):
-            m1, t1 = s[m0][t0]
-            b1, t2 = s[b0][t1]
-            b2, m2 = s[b1][m1]
-            b1a, m1a = s[b0][m0]
-            b2a, t1a = s[b1a][t0]
-            m2a, t2a = s[m1a][t1a]
-            if (t2, m2, b2) != (t2a, m2a, b2a):
-                return (t0, m0, b0)
+        """First color triple failing the third-move identity, or None."""
+        for t in itertools.product(range(self.m), repeat=3):
+            if _exchange_instance(self._s, *t) is False:
+                return t
         return None
 
     def is_valid(self) -> bool:
         return not self.axiom_violations()
+
+
+def _exchange_instance(s, t0: int, m0: int, b0: int) -> bool | tuple[int, int]:
+    """Third-move identity for one color triple of the crossing map ``s``.
+
+    Three strands cross pairwise, all crossings positive; sliding the
+    middle strand across must not change the three outgoing colors.
+    Returns True or False, or the first cell (x, y) read while
+    ``s[x][y]`` is still None (the enumerator's unassigned cells).
+    """
+    if (v := s[m0][t0]) is None:
+        return (m0, t0)
+    m1, t1 = v
+    if (v := s[b0][t1]) is None:
+        return (b0, t1)
+    b1, t2 = v
+    if (v := s[b1][m1]) is None:
+        return (b1, m1)
+    b2, m2 = v
+    if (v := s[b0][m0]) is None:
+        return (b0, m0)
+    b1a, m1a = v
+    if (v := s[b1a][t0]) is None:
+        return (b1a, t0)
+    b2a, t1a = v
+    if (v := s[m1a][t1a]) is None:
+        return (m1a, t1a)
+    m2a, t2a = v
+    return (t2, m2, b2) == (t2a, m2a, b2a)
 
 
 def check_axioms(x: FiniteBiquandle) -> bool | list[tuple[str, tuple]]:
@@ -643,95 +661,90 @@ def canonical_table_form(
 _ENUM_CACHE: dict[int, tuple[FiniteBiquandle, ...]] = {}
 
 
+def _kink_permutations(m: int, largest: int | None = None):
+    """One permutation of range(m) per cycle type, cycles on consecutive blocks."""
+    if m == 0:
+        yield []
+        return
+    for p in range(min(m, largest or m), 0, -1):
+        for rest in _kink_permutations(m - p, p):
+            yield [(i + 1) % p for i in range(p)] + [p + v for v in rest]
+
+
 def enumerate_biquandles(m: int) -> list[FiniteBiquandle]:
     """All biquandles on {0..m-1}, one canonical representative per class.
 
-    Backtracks over the combined crossing map S entry by entry; the
-    pruning rules are exactly the axiom suite: column invertibility of
-    both tables, global invertibility of S, the kink permutation-matrix
-    condition, and the exchange identity checked as soon as every lookup
-    an instance needs has been assigned.  Results are cached per process
-    (size 4 takes on the order of a minute).
+    The kink cells, where S(x, y) == (y, x), form a permutation sigma with
+    y = sigma(x), and relabelling the colors by pi conjugates sigma to
+    pi sigma pi^-1.  Every class thus has a member whose sigma is the
+    chosen representative of its cycle type, so the search fixes sigma to
+    each representative in turn (5 at m = 4), preassigns those m cells and
+    forbids S(x, y) == (y, x) elsewhere.  It backtracks over the other
+    cells of S under column invertibility of both tables and invertibility
+    of S.  Each exchange instance waits on the first unassigned cell it
+    reads, and an assignment re-evaluates only the instances waiting on
+    that cell.  ``canonical_table_form`` merges the relabelled copies that
+    remain; the sorted forms are named ``biq:m:NNN``.  Results are cached
+    per process; m = 4 takes about 0.15 s, m = 5 about 75 s.
     """
     if m in _ENUM_CACHE:
         return list(_ENUM_CACHE[m])
-    cells = [(x, y) for x in range(m) for y in range(m)]
-    s: list[list[tuple[int, int] | None]] = [[None] * m for _ in range(m)]
-    used: set[tuple[int, int]] = set()
-    col_first: list[set[int]] = [set() for _ in range(m)]  # per y, over x
-    col_second: list[set[int]] = [set() for _ in range(m)]  # per x, over y
-    hit_rows = [0] * m
-    hit_cols = [0] * m
-    triples = list(itertools.product(range(m), repeat=3))
     found: dict[tuple, None] = {}
+    for sigma in _kink_permutations(m):
+        s: list[list[tuple[int, int] | None]] = [[None] * m for _ in range(m)]
+        used: set[tuple[int, int]] = set()
+        col_first: list[set[int]] = [set() for _ in range(m)]  # per y, over x
+        col_second: list[set[int]] = [set() for _ in range(m)]  # per x, over y
+        for x, y in enumerate(sigma):
+            s[x][y] = (y, x)
+            used.add((y, x))
+            col_first[y].add(y)
+            col_second[x].add(x)
+        watch = {(x, y): [] for x in range(m) for y in range(m)}
+        # An instance that reads only kink cells ends at (b0, m0, t0) on
+        # both sides, so none fails yet; the rest wait on a free cell.
+        for t in itertools.product(range(m), repeat=3):
+            if (cell := _exchange_instance(s, *t)) is not True:
+                watch[cell].append(t)
+        cells = [(x, y) for x in range(m) for y in range(m) if y != sigma[x]]
 
-    def exchange_ok() -> bool:
-        # Evaluate each instance as far as assignments allow; an
-        # incomplete chain never rejects.
-        for t0, m0, b0 in triples:
-            v = s[m0][t0]
-            if v is None:
-                continue
-            m1, t1 = v
-            v = s[b0][t1]
-            if v is None:
-                continue
-            b1, t2 = v
-            v = s[b1][m1]
-            if v is None:
-                continue
-            b2, m2 = v
-            v = s[b0][m0]
-            if v is None:
-                continue
-            b1a, m1a = v
-            v = s[b1a][t0]
-            if v is None:
-                continue
-            b2a, t1a = v
-            v = s[m1a][t1a]
-            if v is None:
-                continue
-            m2a, t2a = v
-            if (t2, m2, b2) != (t2a, m2a, b2a):
-                return False
-        return True
-
-    def assign(idx: int) -> None:
-        if idx == len(cells):
-            if all(h == 1 for h in hit_rows) and all(h == 1 for h in hit_cols):
+        def assign(idx: int) -> None:
+            if idx == len(cells):
                 up = tuple(tuple(s[x][y][0] for y in range(m)) for x in range(m))
                 down = tuple(tuple(s[x][y][1] for x in range(m)) for y in range(m))
                 found.setdefault(canonical_table_form(up, down))
-            return
-        x, y = cells[idx]
-        for a in range(m):
-            if a in col_first[y]:
-                continue
-            for b in range(m):
-                if b in col_second[x] or (a, b) in used:
+                return
+            x, y = cells[idx]
+            waiting, watch[x, y] = watch[x, y], []
+            for a in range(m):
+                if a in col_first[y]:
                     continue
-                hit = (a, b) == (y, x)
-                if hit and (hit_rows[x] or hit_cols[y]):
-                    continue
-                s[x][y] = (a, b)
-                used.add((a, b))
-                col_first[y].add(a)
-                col_second[x].add(b)
-                if hit:
-                    hit_rows[x] += 1
-                    hit_cols[y] += 1
-                if exchange_ok():
-                    assign(idx + 1)
-                if hit:
-                    hit_rows[x] -= 1
-                    hit_cols[y] -= 1
-                s[x][y] = None
-                used.discard((a, b))
-                col_first[y].discard(a)
-                col_second[x].discard(b)
+                for b in range(m):
+                    if b in col_second[x] or (a, b) in used or (a, b) == (y, x):
+                        continue
+                    s[x][y] = (a, b)
+                    used.add((a, b))
+                    col_first[y].add(a)
+                    col_second[x].add(b)
+                    moved = []
+                    for t in waiting:
+                        cell = _exchange_instance(s, *t)
+                        if cell is False:
+                            break
+                        if cell is not True:
+                            watch[cell].append(t)
+                            moved.append(cell)
+                    else:
+                        assign(idx + 1)
+                    for cell in moved:
+                        watch[cell].pop()
+                    used.discard((a, b))
+                    col_first[y].discard(a)
+                    col_second[x].discard(b)
+            s[x][y] = None
+            watch[x, y] = waiting
 
-    assign(0)
+        assign(0)
 
     result = []
     for index, (up, down) in enumerate(sorted(found)):

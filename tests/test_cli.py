@@ -115,6 +115,19 @@ def test_commute_flags_and_witness(capsys):
     assert json.loads(text)["verdict"] == "equivalent"
 
 
+def test_commute_readme_example_finds_order_4_witness(capsys):
+    report = _run_report(
+        capsys,
+        ["commute", "--code", "O1+ U2- U1+ O2-", "--code", "U1+ O2- O1+ U2-",
+         "--scan-structures", "4"],
+    )
+    out = report["outputs"][0]
+    assert out["verdict"] == "distinct"
+    witness = out["witness"]
+    assert witness["structure"] == "biq:4:052"
+    assert (witness["entry"], witness["left"], witness["right"]) == ([0, 1], 4, 0)
+
+
 def test_prime_scan_smoke(capsys):
     report = _run_report(
         capsys,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -214,12 +215,20 @@ def test_commutator_witness_agrees_with_products(rng: random.Random, corpus):
             assert (commutator_witness(a, b, x) is None) == commutes
 
 
+# sha256 of repr([(name, up, down, kind) ...]) over the orders 1..4, frozen
+# from the exhaustive search that generated every relabelled copy
+CATALOG_DIGEST = "3114a3dac1dd2cc40d5627a03027befa16b2d9bf0f0684eb2cee3d2c834e2293"
+
+
 def test_enumeration_counts_small_sizes():
-    assert len(enumerate_biquandles(1)) == 1
-    two = enumerate_biquandles(2)
-    assert len(two) == 2
-    three = enumerate_biquandles(3)
-    assert len(three) == 15
-    assert sum(1 for x in three if x.kind == "quandle") == 3
-    for x in two + three:
-        assert check_axioms(x) is True
+    by_order = {m: enumerate_biquandles(m) for m in range(1, 5)}
+    assert [len(by_order[m]) for m in range(1, 5)] == [1, 2, 15, 98]
+    assert [sum(x.kind == "quandle" for x in by_order[m]) for m in range(1, 5)] == [
+        1, 1, 3, 7,
+    ]
+    for structures in by_order.values():
+        for x in structures:
+            assert check_axioms(x) is True
+    assert by_order[4][52] == WITNESS_STRUCTURE
+    rows = [(x.name, x.up, x.down, x.kind) for m in range(1, 5) for x in by_order[m]]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CATALOG_DIGEST
