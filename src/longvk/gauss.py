@@ -171,14 +171,24 @@ def canonicalize(d: OpenGaussDiagram) -> OpenGaussDiagram:
     )
 
 
+def _canonical_code(endpoints: tuple, signs: tuple) -> str:
+    """Code of ``endpoints`` and ``signs`` with chords renamed 1..n by first
+    appearance.  Nothing is validated: callers pass a valid diagram's
+    fields or a legal rewrite of them."""
+    sign_of = dict(signs)
+    tail_of: dict[int, str] = {}  # label -> its canonical "label sign" text
+    tokens = []
+    for label, role in endpoints:
+        tail = tail_of.get(label)
+        if tail is None:
+            tail = tail_of[label] = f"{len(tail_of) + 1}{'+' if sign_of[label] == 1 else '-'}"
+        tokens.append(role + tail)
+    return " ".join(tokens)
+
+
 def serialize(d: OpenGaussDiagram) -> str:
     """Emit the code using canonical labels; empty string for n = 0."""
-    c = canonicalize(d)
-    sign_of = dict(c.signs)
-    return " ".join(
-        f"{role}{label}{'+' if sign_of[label] == 1 else '-'}"
-        for label, role in c.endpoints
-    )
+    return _canonical_code(d.endpoints, d.signs)
 
 
 def mirror(d: OpenGaussDiagram) -> OpenGaussDiagram:

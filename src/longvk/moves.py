@@ -24,14 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations_with_replacement, product
 
 from longvk.gauss import (
     OVER,
     UNDER,
     GaussCodeError,
     OpenGaussDiagram,
+    _canonical_code,
     canonicalize,
-    serialize,
+    parse_gauss_code,
 )
 
 
@@ -42,6 +44,7 @@ class IllegalMove(GaussCodeError):
 _ORDERS = ("OU", "UO")
 _PAIRINGS = ("parallel", "crossed")
 _KINDS = ("r1_insert", "r1_remove", "r2_insert", "r2_remove", "r3")
+_FIELDS = ("gap", "gap2", "sign", "order", "roles1", "pairing", "label", "label2")
 
 
 # =============================================================================
@@ -109,7 +112,7 @@ class MoveEvent:
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        for field in ("gap", "gap2", "sign", "order", "roles1", "pairing", "label", "label2"):
+        for field in _FIELDS:
             value = getattr(self, field)
             if value is not None:
                 out[field] = value
@@ -122,8 +125,12 @@ class MoveEvent:
         kind = data.get("kind")
         if kind not in _KINDS:
             raise ValueError(f"unknown move kind: {kind!r}")
+        if not set(data) <= {"kind", "site", *_FIELDS}:
+            raise ValueError(f"unknown move event fields in {sorted(data)}")
         kwargs = {k: data[k] for k in data if k not in ("kind", "site")}
         site = data.get("site")
+        if site is not None and not isinstance(site, (list, tuple)):
+            raise ValueError(f"move site must be a list, got {site!r}")
         return cls(kind=kind, site=tuple(site) if site is not None else None, **kwargs)
 
 
@@ -208,6 +215,9 @@ def load_r2_patterns() -> frozenset[tuple[str, int, int]]:
 # =============================================================================
 # Kink moves
 # =============================================================================
+#
+# Each _apply_* checks that its event is legal on the canonical diagram d
+# and returns the rewritten (endpoints, signs), not yet relabelled.
 
 
 def _check_sign(sign: int) -> None:
@@ -215,7 +225,7 @@ def _check_sign(sign: int) -> None:
         raise IllegalMove(f"sign must be +1 or -1, got {sign!r}")
 
 
-def _apply_r1_insert(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
+def _apply_r1_insert(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     if m.gap is None or not 0 <= m.gap <= 2 * d.n:
         raise IllegalMove(f"kink gap {m.gap!r} out of range 0..{2 * d.n}")
     _check_sign(m.sign)
@@ -224,13 +234,10 @@ def _apply_r1_insert(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
     label = d.n + 1
     roles = (OVER, UNDER) if m.order == "OU" else (UNDER, OVER)
     block = ((label, roles[0]), (label, roles[1]))
-    endpoints = d.endpoints[: m.gap] + block + d.endpoints[m.gap :]
-    return canonicalize(
-        OpenGaussDiagram(endpoints=endpoints, signs=d.signs + ((label, m.sign),))
-    )
+    return d.endpoints[: m.gap] + block + d.endpoints[m.gap :], d.signs + ((label, m.sign),)
 
 
-def _apply_r1_remove(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
+def _apply_r1_remove(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     if m.label not in d.labels():
         raise IllegalMove(f"no chord labelled {m.label!r}")
     p, q = d.positions(m.label)
@@ -238,17 +245,13 @@ def _apply_r1_remove(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
         raise IllegalMove(f"chord {m.label} endpoints are not adjacent")
     endpoints = tuple(e for e in d.endpoints if e[0] != m.label)
     signs = tuple(s for s in d.signs if s[0] != m.label)
-    return canonicalize(OpenGaussDiagram(endpoints=endpoints, signs=signs))
+    return endpoints, signs
 
 
 def removable_kinks(d: OpenGaussDiagram) -> tuple[int, ...]:
     """Labels of chords whose two endpoints are adjacent."""
-    out = []
-    for label in sorted(d.labels()):
-        p, q = d.positions(label)
-        if abs(p - q) == 1:
-            out.append(label)
-    return tuple(out)
+    ends = d.endpoints
+    return tuple(sorted(ends[p][0] for p in range(1, len(ends)) if ends[p - 1][0] == ends[p][0]))
 
 
 # =============================================================================
@@ -256,7 +259,7 @@ def removable_kinks(d: OpenGaussDiagram) -> tuple[int, ...]:
 # =============================================================================
 
 
-def _apply_r2_insert(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
+def _apply_r2_insert(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     if m.gap is None or m.gap2 is None or not 0 <= m.gap <= m.gap2 <= 2 * d.n:
         raise IllegalMove(
             f"poke gaps ({m.gap!r}, {m.gap2!r}) must satisfy 0 <= gap <= gap2 <= {2 * d.n}"
@@ -281,8 +284,7 @@ def _apply_r2_insert(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
         + block2
         + d.endpoints[m.gap2 :]
     )
-    signs = d.signs + ((a, m.sign), (b, -m.sign))
-    return canonicalize(OpenGaussDiagram(endpoints=endpoints, signs=signs))
+    return endpoints, d.signs + ((a, m.sign), (b, -m.sign))
 
 
 def _r2_block_starts(d: OpenGaussDiagram, a: int, b: int) -> tuple[int, int] | None:
@@ -294,7 +296,7 @@ def _r2_block_starts(d: OpenGaussDiagram, a: int, b: int) -> tuple[int, int] | N
     return min(a_over, b_over), min(a_under, b_under)
 
 
-def _apply_r2_remove(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
+def _apply_r2_remove(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     a, b = m.label, m.label2
     labels = d.labels()
     if a not in labels or b not in labels or a == b:
@@ -305,18 +307,29 @@ def _apply_r2_remove(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
         raise IllegalMove(f"chords {a} and {b} do not form two adjacent blocks")
     endpoints = tuple(e for e in d.endpoints if e[0] not in (a, b))
     signs = tuple(s for s in d.signs if s[0] not in (a, b))
-    return canonicalize(OpenGaussDiagram(endpoints=endpoints, signs=signs))
+    return endpoints, signs
+
+
+def _two_chord_blocks(d: OpenGaussDiagram) -> dict[frozenset[int], list[int]]:
+    """Chord pair -> starts of the adjacent endpoint pairs on those chords."""
+    ends = d.endpoints
+    blocks: dict[frozenset[int], list[int]] = {}
+    for p in range(1, len(ends)):
+        if ends[p - 1][0] != ends[p][0]:
+            blocks.setdefault(frozenset((ends[p - 1][0], ends[p][0])), []).append(p)
+    return blocks
 
 
 def removable_pokes(d: OpenGaussDiagram) -> tuple[tuple[int, int], ...]:
     """Label pairs forming removable poke patterns, each pair sorted."""
+    ends, sign_of = d.endpoints, dict(d.signs)
     out = []
-    labels = sorted(d.labels())
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            if d.sign(a) + d.sign(b) == 0 and _r2_block_starts(d, a, b) is not None:
-                out.append((a, b))
-    return tuple(out)
+    for pair, starts in _two_chord_blocks(d).items():
+        a, b = sorted(pair)
+        roles = {ends[p - 1][1] + ends[p][1] for p in starts}  # an OO and a UU block
+        if sign_of[a] + sign_of[b] == 0 and {OVER * 2, UNDER * 2} <= roles:
+            out.append((a, b))
+    return tuple(sorted(out))
 
 
 # =============================================================================
@@ -388,7 +401,7 @@ def classify_slide_site(
     )
 
 
-def _apply_r3(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
+def _apply_r3(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     if m.site is None:
         raise IllegalMove("slide event needs a site")
     key = classify_slide_site(d, m.site)
@@ -399,21 +412,30 @@ def _apply_r3(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
     endpoints = list(d.endpoints)
     for p in m.site:
         endpoints[p - 1], endpoints[p] = endpoints[p], endpoints[p - 1]
-    return canonicalize(OpenGaussDiagram(endpoints=tuple(endpoints), signs=d.signs))
+    return tuple(endpoints), d.signs
 
 
 def slide_sites(d: OpenGaussDiagram) -> tuple[tuple[int, int, int], ...]:
-    """All legal slide sites, ascending."""
+    """All legal slide sites, ascending.
+
+    A site's blocks hold its chords pairwise: {a, b}, {a, c}, {b, c}.  So
+    each two-chord block is joined with the blocks sharing its chord a and
+    with a block on the remaining pair; the pattern table confirms each.
+    """
+    blocks = _two_chord_blocks(d)
+    pairs_of: dict[int, list[frozenset[int]]] = {}
+    for pair in blocks:
+        for label in pair:
+            pairs_of.setdefault(label, []).append(pair)
+    candidates = {
+        tuple(sorted(site))
+        for pair in blocks
+        for other in pairs_of[min(pair)]
+        if other != pair and pair ^ other in blocks
+        for site in product(blocks[pair], blocks[other], blocks[pair ^ other])
+    }
     table = load_r3_patterns()
-    starts = range(1, 2 * d.n)
-    out = []
-    for p1 in starts:
-        for p2 in range(p1 + 2, 2 * d.n):
-            for p3 in range(p2 + 2, 2 * d.n):
-                key = classify_slide_site(d, (p1, p2, p3))
-                if key is not None and key in table:
-                    out.append((p1, p2, p3))
-    return tuple(out)
+    return tuple(site for site in sorted(candidates) if classify_slide_site(d, site) in table)
 
 
 # =============================================================================
@@ -433,7 +455,31 @@ def apply_move(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
     """Apply one event to the canonicalized diagram; result is canonical."""
     if m.kind not in _APPLY:
         raise IllegalMove(f"unknown move kind: {m.kind!r}")
-    return _APPLY[m.kind](canonicalize(d), m)
+    numbers = [v for v in (m.gap, m.gap2, m.label, m.label2) if v is not None]
+    if not all(type(v) is int for v in numbers + list(m.site or ())):
+        raise IllegalMove(f"gaps, labels and site entries must be integers: {m}")
+    endpoints, signs = _APPLY[m.kind](canonicalize(d), m)
+    return canonicalize(OpenGaussDiagram(endpoints=endpoints, signs=signs))
+
+
+def _list_moves(c: OpenGaussDiagram, cap: int | None) -> dict[str, MoveEvent]:
+    """Result code -> first event making it, over every legal move from the
+    canonical c within cap crossings; no result diagram is built."""
+    n, gaps, signs = c.n, range(2 * c.n + 1), (1, -1)
+    events = [MoveEvent.r1_remove(label) for label in removable_kinks(c)]
+    events += [MoveEvent.r2_remove(a, b) for a, b in removable_pokes(c)]
+    events += [MoveEvent.r3(site) for site in slide_sites(c)]
+    if cap is None or n + 1 <= cap:
+        events += [MoveEvent.r1_insert(gap, sign, order)
+                   for gap, order, sign in product(gaps, _ORDERS, signs)]
+    if cap is None or n + 2 <= cap:
+        events += [MoveEvent.r2_insert(gap, gap2, roles1, pairing, sign)
+                   for gap, gap2 in combinations_with_replacement(gaps, 2)
+                   for roles1, pairing, sign in product((OVER, UNDER), _PAIRINGS, signs)]
+    listing: dict[str, MoveEvent] = {}
+    for event in events:
+        listing.setdefault(_canonical_code(*_APPLY[event.kind](c, event)), event)
+    return listing
 
 
 def enumerate_moves(
@@ -442,39 +488,11 @@ def enumerate_moves(
     """Every legal single move from d, with its result.
 
     Inserts whose result would exceed cap crossings are suppressed.
-    Results are deduplicated (first event producing a diagram wins) and
-    the listing is sorted by result code, so the order is reproducible.
+    Results are deduplicated on their code (first event wins: removals,
+    slides, then inserts) and sorted by it, so the order is reproducible.
     """
-    c = canonicalize(d)
-    n = c.n
-    events: list[MoveEvent] = []
-    for label in removable_kinks(c):
-        events.append(MoveEvent.r1_remove(label))
-    for a, b in removable_pokes(c):
-        events.append(MoveEvent.r2_remove(a, b))
-    for site in slide_sites(c):
-        events.append(MoveEvent.r3(site))
-    if cap is None or n + 1 <= cap:
-        for gap in range(2 * n + 1):
-            for order in _ORDERS:
-                for sign in (1, -1):
-                    events.append(MoveEvent.r1_insert(gap, sign, order))
-    if cap is None or n + 2 <= cap:
-        for gap in range(2 * n + 1):
-            for gap2 in range(gap, 2 * n + 1):
-                for roles1 in (OVER, UNDER):
-                    for pairing in _PAIRINGS:
-                        for sign in (1, -1):
-                            events.append(
-                                MoveEvent.r2_insert(gap, gap2, roles1, pairing, sign)
-                            )
-    seen: dict[str, tuple[MoveEvent, OpenGaussDiagram]] = {}
-    for event in events:
-        result = _APPLY[event.kind](c, event)
-        code = serialize(result)
-        if code not in seen:
-            seen[code] = (event, result)
-    return tuple(seen[code] for code in sorted(seen))
+    listing = _list_moves(canonicalize(d), cap)
+    return tuple((listing[code], parse_gauss_code(code)) for code in sorted(listing))
 
 
 def inverse_event(d_before: OpenGaussDiagram, m: MoveEvent) -> MoveEvent:
@@ -483,7 +501,7 @@ def inverse_event(d_before: OpenGaussDiagram, m: MoveEvent) -> MoveEvent:
     if m.kind == "r3":
         return m
     if m.kind == "r1_insert":
-        result = _APPLY["r1_insert"](c, m)
+        result = apply_move(c, m)
         return MoveEvent.r1_remove(result.endpoint(m.gap + 1)[0])
     if m.kind == "r1_remove":
         p, q = c.positions(m.label)
@@ -491,7 +509,7 @@ def inverse_event(d_before: OpenGaussDiagram, m: MoveEvent) -> MoveEvent:
         order = "OU" if c.endpoint(lo)[1] == OVER else "UO"
         return MoveEvent.r1_insert(lo - 1, c.sign(m.label), order)
     if m.kind == "r2_insert":
-        result = _APPLY["r2_insert"](c, m)
+        result = apply_move(c, m)
         a = result.endpoint(m.gap + 1)[0]
         b = result.endpoint(m.gap + 2)[0]
         return MoveEvent.r2_remove(a, b)

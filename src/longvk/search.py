@@ -32,7 +32,7 @@ from longvk.invariants import (
     odd_writhe,
 )
 from longvk.monoid import concat, cut_points, split_at
-from longvk.moves import MoveEvent, apply_move, enumerate_moves, inverse_event
+from longvk.moves import MoveEvent, _list_moves, apply_move, inverse_event
 from longvk.surface import supporting_genus
 
 EQUIVALENT = "equivalent"
@@ -127,13 +127,14 @@ _CLOSED, _MAX_DEPTH, _MAX_STATES = "closed", "max_depth", "max_states"
 class _OrbitWalk:
     """Breadth-first walk over the move orbits of one or two canonical roots.
 
-    Iterating yields ``(side, parent code, event, code, diagram)``: each
-    root first (parent and event None), then each newly admitted state,
-    and also each move into a state that another root's orbit owns,
-    which is how a caller sees two orbits meet.  Each layer expands the
-    smallest frontier (ties go to the first root), parents in code
-    order, children in ``enumerate_moves`` order.  States are keyed on
-    canonical codes: ``seen`` maps each code to ``(side, parent code,
+    Iterating yields ``(side, parent code, event, code)``: each root
+    first (parent and event None), then each newly admitted state, and
+    also each move into a state that another root's orbit owns, which
+    is how a caller sees two orbits meet.  Each layer expands the
+    smallest frontier (ties go to the first root), parents and then
+    each parent's children in code order.  States are canonical codes:
+    a parent is parsed to list its children's codes, and no child
+    diagram is built.  ``seen`` maps each code to ``(side, parent code,
     event)``.  When iteration ends by itself, ``stop`` says why: the
     orbit closed (a frontier ran empty), ``max_depth`` layers were
     expanded, or the next new state would pass ``max_states``.
@@ -151,7 +152,7 @@ class _OrbitWalk:
             code = serialize(root)
             self.seen[code] = (side, None, None)
             frontiers.append([code])
-            yield side, None, None, code, root
+            yield side, None, None, code
         depth = 0
         while all(frontiers):
             if depth >= self.budget.max_depth:
@@ -161,10 +162,8 @@ class _OrbitWalk:
             next_frontier = []
             cap = self.budget.max_crossings
             for code in sorted(frontiers[side]):
-                # Loop over the listing without naming it, so one parent's
-                # children are freed before the next parent's are built.
-                for event, child in enumerate_moves(parse_gauss_code(code), cap=cap):
-                    child_code = serialize(child)
+                # Codes are distinct, so sorting the pairs never compares events.
+                for child_code, event in sorted(_list_moves(parse_gauss_code(code), cap).items()):
                     owner = self.seen.get(child_code)
                     if owner is None:
                         if len(self.seen) >= self.budget.max_states:
@@ -174,7 +173,7 @@ class _OrbitWalk:
                         next_frontier.append(child_code)
                     elif owner[0] == side:
                         continue
-                    yield side, code, event, child_code, child
+                    yield side, code, event, child_code
             frontiers[side] = next_frontier
             depth += 1
         self.stop = _CLOSED
@@ -223,7 +222,7 @@ def equivalent_within(
         return done(DISTINCT, 0, witness=witness)
 
     walk = _OrbitWalk([c1, c2], budget)
-    for side, parent, event, code, _ in walk:
+    for side, parent, event, code in walk:
         if walk.seen[code][0] == side:
             continue
         chains = [[], []]
@@ -254,7 +253,8 @@ def min_genus_in_orbit(
     if budget is None:
         budget = default_budget(c.n)
     walk = _OrbitWalk([c], budget)
-    genus, _, code = min((supporting_genus(x), x.n, code) for _, _, _, code, x in walk)
+    genus, _, code = min((supporting_genus(x), x.n, code)
+                         for _, _, _, code in walk for x in [parse_gauss_code(code)])
     return genus, parse_gauss_code(code), len(walk.seen)
 
 
@@ -310,7 +310,8 @@ def prime_scan(d: OpenGaussDiagram, budget: Budget | None = None) -> dict:
         budget = default_budget(c.n)
     walk = _OrbitWalk([c], budget)
     decomposable = []
-    for _, _, _, code, diagram in walk:
+    for _, _, _, code in walk:
+        diagram = parse_gauss_code(code)
         interior = [g for g in cut_points(diagram) if 0 < g < 2 * diagram.n]
         if interior:
             cuts = []

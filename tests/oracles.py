@@ -7,6 +7,10 @@ guided backtracking, the slide-pattern table from explicit line
 geometry instead of the shipped asset, odd writhe by a direct double
 loop.  Agreement between the two routes is what the tests assert, so
 nothing in this module may import the corresponding library internals.
+The move-listing oracles are the one exception: they try every
+position triple and every candidate event through the public
+``classify_slide_site`` and ``apply_move``, so what they check is that
+the library's listing finds every legal move, not the rewrite itself.
 """
 
 from __future__ import annotations
@@ -14,8 +18,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from longvk.gauss import OpenGaussDiagram, canonicalize
+from longvk.gauss import OpenGaussDiagram, canonicalize, serialize
 from longvk.invariants import FiniteBiquandle
+from longvk.moves import (
+    IllegalMove,
+    MoveEvent,
+    apply_move,
+    classify_slide_site,
+    load_r3_patterns,
+)
 
 
 def oracle_odd_writhe(d: OpenGaussDiagram) -> int:
@@ -197,3 +208,60 @@ def oracle_cut_points(d: OpenGaussDiagram) -> tuple[int, ...]:
         if not spanned:
             out.append(gap)
     return tuple(out)
+
+
+# ----------------------------------------------------------------------------
+# Move listings by trying every candidate
+# ----------------------------------------------------------------------------
+
+
+def oracle_slide_sites(d: OpenGaussDiagram) -> tuple[tuple[int, int, int], ...]:
+    """Classify every ascending triple of block starts; keep the legal ones."""
+    c = canonicalize(d)
+    table = load_r3_patterns()
+    out = []
+    for p1 in range(1, 2 * c.n):
+        for p2 in range(p1 + 2, 2 * c.n):
+            for p3 in range(p2 + 2, 2 * c.n):
+                key = classify_slide_site(c, (p1, p2, p3))
+                if key is not None and key in table:
+                    out.append((p1, p2, p3))
+    return tuple(out)
+
+
+def oracle_enumerate_moves(
+    d: OpenGaussDiagram, cap: int | None = None
+) -> tuple[tuple[MoveEvent, OpenGaussDiagram], ...]:
+    """Apply every candidate event, keep the first per result, sort by code.
+
+    Candidates are every removal of one label or of a label pair, every
+    slide site from :func:`oracle_slide_sites` and every insert within
+    the cap, in the order ``enumerate_moves`` documents; illegal ones
+    are skipped.
+    """
+    c = canonicalize(d)
+    n = c.n
+    labels = c.labels()
+    events = [MoveEvent.r1_remove(a) for a in labels]
+    events += [MoveEvent.r2_remove(a, b) for a, b in itertools.combinations(labels, 2)]
+    events += [MoveEvent.r3(site) for site in oracle_slide_sites(c)]
+    if cap is None or n + 1 <= cap:
+        events += [MoveEvent.r1_insert(gap, sign, order)
+                   for gap in range(2 * n + 1)
+                   for order in ("OU", "UO")
+                   for sign in (1, -1)]
+    if cap is None or n + 2 <= cap:
+        events += [MoveEvent.r2_insert(gap, gap2, roles1, pairing, sign)
+                   for gap in range(2 * n + 1)
+                   for gap2 in range(gap, 2 * n + 1)
+                   for roles1 in ("O", "U")
+                   for pairing in ("parallel", "crossed")
+                   for sign in (1, -1)]
+    seen: dict[str, tuple[MoveEvent, OpenGaussDiagram]] = {}
+    for event in events:
+        try:
+            result = apply_move(c, event)
+        except IllegalMove:
+            continue
+        seen.setdefault(serialize(result), (event, result))
+    return tuple(seen[code] for code in sorted(seen))

@@ -20,7 +20,7 @@ from longvk.moves import (
     removable_pokes,
     slide_sites,
 )
-from oracles import oracle_slide_patterns
+from oracles import oracle_enumerate_moves, oracle_slide_patterns, oracle_slide_sites
 from strategies import mixed_diagram, random_diagram
 
 VT = parse_gauss_code("O1+ O2+ U1+ U2+")
@@ -66,6 +66,10 @@ def test_event_json_round_trip():
     assert MoveEvent.r2_remove(5, 2).label == 2  # sorted on construction
     with pytest.raises(ValueError):
         MoveEvent.from_json_dict({"kind": "r4"})
+    with pytest.raises(ValueError, match="bogus"):
+        MoveEvent.from_json_dict({"kind": "r3", "bogus": 1})
+    with pytest.raises(ValueError):
+        MoveEvent.from_json_dict({"kind": "r3", "site": 5})
 
 
 # -----------------------------------------------------------------------------
@@ -85,6 +89,13 @@ def test_kink_insert_rejects_bad_parameters():
         apply_move(VT, MoveEvent.r1_insert(0, 0, "OU"))
     with pytest.raises(IllegalMove):
         apply_move(VT, MoveEvent.r1_insert(0, 1, "XY"))
+    with pytest.raises(IllegalMove):
+        apply_move(VT, MoveEvent.from_json_dict(
+            {"kind": "r1_insert", "gap": "x", "sign": 1, "order": "OU"}))
+    with pytest.raises(IllegalMove):
+        apply_move(VT, MoveEvent.r1_remove(1.0))
+    with pytest.raises(IllegalMove):
+        apply_move(VT, MoveEvent.r3((1, "3", 5)))
 
 
 def test_kink_remove_known():
@@ -231,6 +242,33 @@ def test_enumerate_is_sorted_deduplicated_and_capped(rng: random.Random):
         for event, child in listing:
             assert child.n <= max(d.n, cap)
             assert apply_move(d, event) == child
+
+
+def _with_triangle(rng: random.Random, d: OpenGaussDiagram) -> OpenGaussDiagram:
+    """d with the three blocks of a random legal slide pattern inserted,
+    in random block order, at three random gaps."""
+    entry = rng.choice(sorted(load_r3_patterns()))
+    triangle = _diagram_for_entry(entry)
+    n = d.n
+    blocks = [tuple((label + n, role) for label, role in triangle.endpoints[i:i + 2])
+              for i in (0, 2, 4)]
+    rng.shuffle(blocks)
+    endpoints = list(d.endpoints)
+    for gap, block in zip(sorted((rng.randint(0, 2 * n) for _ in range(3)), reverse=True), blocks):
+        endpoints[gap:gap] = block  # right to left, so earlier gaps keep their place
+    signs = d.signs + tuple((label + n, sign) for label, sign in triangle.signs)
+    return canonicalize(OpenGaussDiagram(endpoints=tuple(endpoints), signs=signs))
+
+
+def test_listing_matches_exhaustive_oracles(rng: random.Random):
+    """Completeness: the listing finds every legal move an exhaustive
+    search over candidates finds, with the same first event per result."""
+    for i in range(24):
+        d = mixed_diagram(rng, 8) if i % 2 else _with_triangle(rng, mixed_diagram(rng, 5))
+        assert slide_sites(d) == oracle_slide_sites(d), serialize(d)
+        for cap in (d.n, d.n + 1, d.n + 2):
+            assert enumerate_moves(d, cap=cap) == oracle_enumerate_moves(d, cap=cap), (
+                serialize(d), cap)
 
 
 def test_enumerate_cap_suppresses_growth():

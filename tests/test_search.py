@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
 import pytest
 
-from longvk.corpus import virtual_corpus
+from longvk.corpus import full_corpus, virtual_corpus
 from longvk.gauss import canonicalize, parse_gauss_code, serialize
 from longvk.invariants import dihedral_quandle
 from longvk.monoid import concat
@@ -212,3 +213,30 @@ def test_prime_scan_closed_orbit_is_exhausted():
     assert at_cap["states_visited"] == 64 and at_cap["exhausted"] is True
     below_cap = prime_scan(TREFOIL, budget=Budget(4, 63, 16))
     assert below_cap["states_visited"] == 63 and below_cap["exhausted"] is False
+
+
+# sha256 of the blobs below, recorded before the walker moved from child
+# diagrams to child codes; any change to states, order or paths shows here.
+SEARCH_OUTPUTS_SHA256 = "c73c580582db1421624091221a507a71fa924e6a22fd71c67d316ba2f06d9b58"
+
+
+def test_search_outputs_are_pinned():
+    rng = random.Random(0)
+    blobs = []
+    for _ in range(8):
+        start = mixed_diagram(rng, rng.randint(2, 5))
+        n = start.n
+        end, _ = walked_diagram(rng, start, steps=3, cap=n + 2)
+        v = equivalent_within(start, end, budget=Budget(n + 2, 4000, 8))
+        blobs.append(v.to_json_dict(stable=True))
+    for name, d in sorted(full_corpus().items()):
+        budget = Budget(d.n + 2, 300, 16)
+        blobs.append(prime_scan(d, budget=budget))
+        genus, witness, states = min_genus_in_orbit(d, budget=budget)
+        blobs.append([genus, serialize(witness), states])
+    corpus = full_corpus()
+    v = commute_check(corpus["double_over"], corpus["interleaved_pair"],
+                      budget=Budget(6, 20000, 16), catalog=[])
+    blobs.append(v.to_json_dict(stable=True))
+    digest = hashlib.sha256(json.dumps(blobs, sort_keys=True).encode()).hexdigest()
+    assert digest == SEARCH_OUTPUTS_SHA256
