@@ -31,11 +31,12 @@ across an over-passage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from longvk.gauss import OVER, UNDER, OpenGaussDiagram, canonicalize
-from longvk.monoid import cut_points, split_at
+from longvk.monoid import _canonical_cuts, _piece
 
 ColoringMatrix = tuple[tuple[int, ...], ...]
 
@@ -115,12 +116,6 @@ class FiniteBiquandle:
     def s_map(self, u_in: int, o_in: int) -> tuple[int, int]:
         """Positive crossing: (under_out, over_out)."""
         return self._s[u_in][o_in]
-
-    def s_inv(self, u_in: int, o_in: int) -> tuple[int, int]:
-        """Negative crossing: (under_out, over_out)."""
-        if self._sinv is None:
-            raise InvalidStructure("crossing map is not invertible")
-        return self._sinv[u_in][o_in]
 
     # -- axiom suite ---------------------------------------------------
 
@@ -239,19 +234,6 @@ def check_axioms(x: FiniteBiquandle) -> bool | list[tuple[str, tuple]]:
     return True if not report else report
 
 
-_VALIDATED: set[tuple] = set()
-
-
-def _require_valid(x: FiniteBiquandle) -> None:
-    key = (x.m, x.up, x.down, x.kind)
-    if key in _VALIDATED:
-        return
-    report = x.axiom_violations()
-    if report:
-        raise InvalidStructure(f"axioms fail: {report}")
-    _VALIDATED.add(key)
-
-
 # ---------------------------------------------------------------------------
 # shipped structures
 # ---------------------------------------------------------------------------
@@ -364,251 +346,205 @@ def shipped_catalog(max_m: int = 5) -> list[FiniteBiquandle]:
 # coloring matrices
 # ---------------------------------------------------------------------------
 
-_MATRIX_CACHE: dict[tuple, ColoringMatrix] = {}
-_LINEAR_CACHE: dict[tuple, tuple | None] = {}
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    return all(m % p for p in range(2, int(m ** 0.5) + 1))
-
-
-def _linear_coeffs(x: FiniteBiquandle) -> tuple | None:
-    """Coefficients of s_map and s_inv as 2x2 matrices over Z_m.
-
-    Non-None only when m is prime and the crossing map is exactly
-    linear, as for the dihedral quandles; those structures then count
-    colorings by elimination instead of search.
-    """
-    key = (x.m, x.up, x.down)
-    if key in _LINEAR_CACHE:
-        return _LINEAR_CACHE[key]
-    out = None
-    m = x.m
-    if _is_prime(m) and x.s_map(0, 0) == (0, 0):
-        a11, a21 = x.s_map(1 % m, 0)
-        a12, a22 = x.s_map(0, 1 % m)
-        ok = all(
-            x.s_map(u, o) == ((a11 * u + a12 * o) % m, (a21 * u + a22 * o) % m)
-            for u in range(m)
-            for o in range(m)
-        )
-        det = (a11 * a22 - a12 * a21) % m
-        if ok and det:
-            inv_det = pow(det, -1, m)
-            out = (
-                (a11, a12, a21, a22),
-                ((a22 * inv_det) % m, (-a12 * inv_det) % m,
-                 (-a21 * inv_det) % m, (a11 * inv_det) % m),
-            )
-    _LINEAR_CACHE[key] = out
-    return out
-
-
-def _linear_matrix(c: OpenGaussDiagram, coeffs: tuple, m: int) -> ColoringMatrix:
-    """Count colorings of a linear structure by elimination over GF(m).
-
-    Solutions form a subspace of Z_m^(2n+1); the matrix entry (a, b) is
-    the fiber size of the projection onto (first color, last color) when
-    (a, b) lies in its image, and zero otherwise.
-    """
-    v = 2 * c.n + 1
-    over_pos: dict[int, int] = {}
-    under_pos: dict[int, int] = {}
-    for pos, (label, role) in enumerate(c.endpoints, start=1):
-        (over_pos if role == OVER else under_pos)[label] = pos
-    rows = []
-    for label, sign in c.signs:
-        a11, a12, a21, a22 = coeffs[0] if sign == 1 else coeffs[1]
-        p, q = over_pos[label], under_pos[label]
-        row = [0] * v
-        row[q] = 1
-        row[q - 1] = (row[q - 1] - a11) % m
-        row[p - 1] = (row[p - 1] - a12) % m
-        rows.append(row)
-        row = [0] * v
-        row[p] = 1
-        row[q - 1] = (row[q - 1] - a21) % m
-        row[p - 1] = (row[p - 1] - a22) % m
-        rows.append(row)
-
-    pivots = []
-    rank = 0
-    for col in range(v):
-        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = pow(rows[rank][col], -1, m)
-        rows[rank] = [(val * inv) % m for val in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % m for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-
-    free_cols = [col for col in range(v) if col not in pivots]
-    ends = []  # (first, last) coordinates of one basis vector per free column
-    for fc in free_cols:
-        first = 1 if fc == 0 else 0
-        last = 1 if fc == v - 1 else 0
-        for ri, pc in enumerate(pivots):
-            if pc == 0:
-                first = (-rows[ri][fc]) % m
-            elif pc == v - 1:
-                last = (-rows[ri][fc]) % m
-        ends.append((first, last))
-
-    span = {(0, 0)}
-    for e0, e1 in ends:
-        span |= {
-            ((s0 + t * e0) % m, (s1 + t * e1) % m)
-            for s0, s1 in span
-            for t in range(1, m)
-        }
-    width = 0 if len(span) == 1 else (1 if len(span) == m else 2)
-    count = m ** (len(free_cols) - width)
-    return tuple(
-        tuple(count if (a, b) in span else 0 for b in range(m)) for a in range(m)
-    )
-
 
 def coloring_matrix(d: OpenGaussDiagram, x: FiniteBiquandle) -> ColoringMatrix:
     """Count colorings by (incoming color, outgoing color).
 
     Arcs are the 2n+1 line segments between classical passages; for a
     quandle the over-passages act trivially, which recovers the coarser
-    under-passage segmentation.  The count runs left to right, coloring
-    the leftmost undetermined arc first; at the first passage of a chord
-    whose outcome depends on the yet-unseen other strand, every color is
-    tried and checked when the other passage is reached.  All passage
-    transitions are precomputed into per-position tables so the hot
-    recursion only indexes lists.
+    under-passage segmentation.  The matrix multiplies along
+    concatenation, so one pass finds the cut points, and each prime
+    factor is counted and cached on its own (diagrams one move apart
+    usually share one) before the product is cached for the whole.
+    Linear structures over GF(p) count by one elimination pass, the
+    others depth first on an explicit stack; nothing recurses.
     """
-    _require_valid(x)
-    c = canonicalize(d)
-    key = (c.endpoints, c.signs, x.m, x.up, x.down)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    # The matrix multiplies along concatenation, so factor at the first
-    # interior cut point; the pieces cache separately, and diagrams one
-    # move apart usually share a piece.
-    interior = [g for g in cut_points(c) if 0 < g < 2 * c.n]
-    if interior:
-        left, right = split_at(c, interior[0])
-        result = mat_mul(coloring_matrix(left, x), coloring_matrix(right, x))
-        _MATRIX_CACHE[key] = result
-        return result
-
-    linear = _linear_coeffs(x)
-    if linear is not None:
-        result = _linear_matrix(c, linear, x.m)
-        if len(_MATRIX_CACHE) > 120_000:
-            _MATRIX_CACHE.clear()
-        _MATRIX_CACHE[key] = result
-        return result
-
-    m = x.m
-    over_pos: dict[int, int] = {}
-    under_pos: dict[int, int] = {}
-    for pos, (label, role) in enumerate(c.endpoints, start=1):
-        (over_pos if role == OVER else under_pos)[label] = pos
-    sign_of = dict(c.signs)
-    s_of = {1: x.s_map, -1: x.s_inv}
-    total = 2 * c.n
-
-    # Transition tables per position.  First passages: a constant next
-    # color (no branching needed, the other strand's input cannot change
-    # it) or one (guess, next, stored second output) triple per guess.
-    # Second passages after a deferral: next color by (cur, first color).
-    chord_at = [0] * total
-    is_first_at = [False] * total
-    first_const: list = [None] * total
-    first_branch: list = [None] * total
-    second_defer: list = [None] * total
-    for idx, (label, role) in enumerate(c.endpoints):
-        pos = idx + 1
-        is_under = role == UNDER
-        other = under_pos[label] if role == OVER else over_pos[label]
-        fn = s_of[sign_of[label]]
-        chord_at[idx] = label
-        if other > pos:
-            is_first_at[idx] = True
-            const_row = [-1] * m
-            branch_row: list[tuple] = []
-            for cur in range(m):
-                if is_under:
-                    outs = {fn(cur, g)[0] for g in range(m)}
-                else:
-                    outs = {fn(g, cur)[1] for g in range(m)}
-                if len(outs) == 1:
-                    const_row[cur] = outs.pop()
-                    branch_row.append(())
-                elif is_under:
-                    branch_row.append(tuple((g,) + fn(cur, g) for g in range(m)))
-                else:
-                    branch_row.append(tuple(
-                        (g, fn(g, cur)[1], fn(g, cur)[0]) for g in range(m)
-                    ))
-            first_const[idx] = const_row
-            first_branch[idx] = branch_row
-        elif is_under:  # the deferred first passage was the over one
-            second_defer[idx] = [
-                [fn(cur, f)[0] for f in range(m)] for cur in range(m)
-            ]
-        else:
-            second_defer[idx] = [
-                [fn(f, cur)[1] for f in range(m)] for cur in range(m)
-            ]
-
-    matrix = [[0] * m for _ in range(m)]
-    # chord state: None (unseen), (-1, first_color) when deferred, or
-    # (guessed_other_in, stored_second_out)
-    state: list = [None] * (c.n + 1)
-
-    def walk(idx: int, cur: int, row: list[int]) -> None:
-        if idx == total:
-            row[cur] += 1
-            return
-        label = chord_at[idx]
-        if is_first_at[idx]:
-            const = first_const[idx][cur]
-            if const >= 0:
-                state[label] = (-1, cur)
-                walk(idx + 1, const, row)
-            else:
-                for g, nxt, second in first_branch[idx][cur]:
-                    state[label] = (g, second)
-                    walk(idx + 1, nxt, row)
-            state[label] = None
-            return
-        entry = state[label]
-        g = entry[0]
-        if g < 0:
-            walk(idx + 1, second_defer[idx][cur][entry[1]], row)
-        elif cur == g:
-            walk(idx + 1, entry[1], row)
-
-    for start in range(m):
-        walk(0, start, matrix[start])
-
-    result = tuple(tuple(row) for row in matrix)
-    if len(_MATRIX_CACHE) > 120_000:
-        _MATRIX_CACHE.clear()
-    _MATRIX_CACHE[key] = result
+    count = _counter(x.m, x.up, x.down, x.kind)
+    cuts = _canonical_cuts(d)
+    if cuts is None:
+        d = canonicalize(d)
+        cuts = _canonical_cuts(d)
+    known = _matrices(d.endpoints, d.signs)
+    result = known.get(count)
+    if result is None:
+        for lo, hi in zip(cuts, cuts[1:]):
+            endpoints, signs = _piece(d, lo, hi) if len(cuts) > 2 else (d.endpoints, d.signs)
+            part = _matrices(endpoints, signs)
+            if count not in part:
+                part[count] = count(endpoints, signs)
+            result = part[count] if result is None else mat_mul(result, part[count])
+        result = known[count] = mat_identity(x.m) if result is None else result
     return result
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _matrices(endpoints: tuple, signs: tuple) -> dict:
+    """A canonical diagram's matrices by counting function, one per
+    structure used on it; whole diagrams and prime factors alike."""
+    return {}
+
+
+@functools.lru_cache(maxsize=2048)
+def _counter(m: int, up: tuple, down: tuple, kind: str):
+    """The counting function of one valid structure, tables prepared.
+
+    Keyed on the tables, not on the instance: ``default_catalog`` builds
+    new structures per call, and each is validated once.  The bound
+    holds every class up to order 5.
+    """
+    x = FiniteBiquandle(m=m, up=up, down=down, kind=kind)
+    report = x.axiom_violations()
+    if report:
+        raise InvalidStructure(f"axioms fail: {report}")
+    linear = _linear_coeffs(x)
+    if linear is not None:
+        return functools.partial(_linear_count, linear, m)
+    # Per (sign, role): pairs[cur][g] is (this strand's out, the other
+    # strand's out) when this strand enters with cur and the other with
+    # g; const[cur] is this strand's out if no g changes it, else -1.
+    tables = {}
+    for sign, s in ((1, x._s), (-1, x._sinv)):
+        for role in (UNDER, OVER):
+            pairs = s if role == UNDER else tuple(
+                tuple(s[g][cur][::-1] for g in range(m)) for cur in range(m))
+            tables[sign, role] = (pairs, tuple(
+                row[0][0] if len({out for out, _ in row}) == 1 else -1 for row in pairs))
+    return functools.partial(_stack_count, tables, m)
+
+
+def _stack_count(tables: dict, m: int, endpoints: tuple, signs: tuple) -> ColoringMatrix:
+    """Count the colorings of a canonical diagram depth first.
+
+    At a chord's first passage the current color either fixes the next
+    one whatever the other strand brings (the chord is deferred with
+    the current color) or each guess of the other strand's incoming
+    color is tried, storing its outgoing color.  The second passage
+    applies the deferred crossing or keeps only the matching guess.
+    A chord's slot is written before it is read, so backtracking off
+    the explicit stack undoes nothing.
+    """
+    plan, top = [], 0  # in canonical labels a chord begins above all earlier ones
+    for label, role in endpoints:
+        plan.append((label, label > top) + tables[signs[label - 1][1], role])
+        top = max(top, label)
+    total = len(plan)
+    slot: list = [None] * (len(signs) + 1)  # (-1, first color) or (guess, other out)
+    matrix = []
+    for start in range(m):
+        row = [0] * m
+        stack = []  # (position, color there, next guess)
+        idx, cur = 0, start
+        while True:
+            while idx < total:
+                label, is_first, pairs, const = plan[idx]
+                if is_first:
+                    nxt = const[cur]
+                    if nxt < 0:
+                        stack.append((idx, cur, 1))
+                        nxt, other = pairs[cur][0]
+                        slot[label] = (0, other)
+                    else:
+                        slot[label] = (-1, cur)
+                    cur = nxt
+                else:
+                    guess, value = slot[label]
+                    if guess < 0:
+                        cur = pairs[cur][value][0]
+                    elif guess == cur:
+                        cur = value
+                    else:
+                        break
+                idx += 1
+            else:
+                row[cur] += 1
+            if not stack:
+                break
+            idx, cur, guess = stack.pop()
+            if guess + 1 < m:
+                stack.append((idx, cur, guess + 1))
+            label, _, pairs, _ = plan[idx]
+            cur, other = pairs[cur][guess]
+            slot[label] = (guess, other)
+            idx += 1
+        matrix.append(tuple(row))
+    return tuple(matrix)
+
+
+def _linear_coeffs(x: FiniteBiquandle) -> dict | None:
+    """Per (sign, role), the crossing map as four coefficients over Z_m.
+
+    Non-None only when m is prime and the crossing map is linear, as for
+    the dihedral quandles.  With (a, b, c, e), a strand entering with
+    color cur while the other enters with g leaves with a*cur + b*g, and
+    the other strand with c*cur + e*g.
+    """
+    m = x.m
+    if m < 2 or any(m % p == 0 for p in range(2, int(m ** 0.5) + 1)):
+        return None
+    coeffs = {}
+    for sign, s in ((1, x._s), (-1, x._sinv)):
+        (a11, a21), (a12, a22) = s[1][0], s[0][1]
+        if any(s[u][o] != ((a11 * u + a12 * o) % m, (a21 * u + a22 * o) % m)
+               for u in range(m) for o in range(m)):
+            return None
+        coeffs[sign, UNDER] = (a11, a12, a21, a22)
+        coeffs[sign, OVER] = (a22, a21, a12, a11)
+    return coeffs
+
+
+def _add(f: dict, b: int, g: dict, p: int) -> dict:
+    """The linear form f + b*g over GF(p), zero coefficients dropped."""
+    out = dict(f)
+    for v, c in g.items():
+        out[v] = (out.get(v, 0) + b * c) % p
+    return {v: c for v, c in out.items() if c}
+
+
+def _linear_count(coeffs: dict, p: int, endpoints: tuple, signs: tuple) -> ColoringMatrix:
+    """Count the colorings of a canonical diagram by one pass over GF(p).
+
+    Arc colors are linear forms over the first color (variable 0) and,
+    per chord, the other strand's incoming color guessed at its first
+    passage.  The second passage equates guess and current color; unless
+    that reads 0 = 0, its newest variable is substituted away in every
+    live form (first, current, two per open chord), and the solutions
+    lose a dimension.  Entry (a, b) is p^(dim - rank) when (a, b) is in
+    the image of the (first, last) projection, and zero otherwise.
+    """
+    first = cur = {0: 1}
+    pending: dict[int, tuple[dict, dict]] = {}  # label -> (guess, other strand's out)
+    dim = 1
+    for label, role in endpoints:
+        entry = pending.pop(label, None)
+        if entry is None:
+            a, b, c, e = coeffs[signs[label - 1][1], role]
+            guess = {label: 1}
+            pending[label] = (guess, _add({v: c * k % p for v, k in cur.items()}, e, guess, p))
+            cur = _add({v: a * k % p for v, k in cur.items()}, b, guess, p)
+            dim += 1
+            continue
+        eq = _add(cur, p - 1, entry[0], p)
+        cur = entry[1]
+        if eq:
+            v = max(eq)
+            scale = -pow(eq[v], -1, p) % p
+            def sub(f: dict) -> dict:
+                return _add(f, f[v] * scale % p, eq, p) if v in f else f
+            first, cur = sub(first), sub(cur)
+            for key, (guess, out) in pending.items():
+                pending[key] = (sub(guess), sub(out))
+            dim -= 1
+    span = {(0, 0)}
+    for v in first.keys() | cur.keys():
+        e0, e1 = first.get(v, 0), cur.get(v, 0)
+        span |= {((s0 + t * e0) % p, (s1 + t * e1) % p) for s0, s1 in span for t in range(1, p)}
+    count = p ** (dim - (0 if len(span) == 1 else 1 if len(span) == p else 2))
+    return tuple(tuple(count if (a, b) in span else 0 for b in range(p)) for a in range(p))
+
+
 def mat_mul(a: ColoringMatrix, b: ColoringMatrix) -> ColoringMatrix:
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size))
-        for i in range(size)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum([x * y for x, y in zip(row, col)]) for col in cols) for row in a)
 
 
 def mat_identity(m: int) -> ColoringMatrix:

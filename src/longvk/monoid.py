@@ -34,40 +34,47 @@ def cut_points(d: OpenGaussDiagram) -> tuple[int, ...]:
 
     Gaps 0 and 2n always qualify.
     """
-    total = len(d.endpoints)
-    first: dict[int, int] = {}
-    spans = []
+    return tuple(_canonical_cuts(d) or _canonical_cuts(canonicalize(d)))
+
+
+def _canonical_cuts(d: OpenGaussDiagram) -> list[int] | None:
+    """Cut points by one running count, or None if d is not canonical.
+
+    In canonical labels chord k first appears after chords 1..k-1, so
+    once the first g positions have begun chords 1..k, gap g is a cut
+    point exactly when g == 2k.
+    """
+    top = 0
+    cuts = [0]
     for pos, (label, _) in enumerate(d.endpoints, start=1):
-        if label in first:
-            spans.append((first[label], pos))
-        else:
-            first[label] = pos
-    cuts = []
-    for gap in range(total + 1):
-        if all(not (lo <= gap < hi) for lo, hi in spans):
-            cuts.append(gap)
-    return tuple(cuts)
+        if label == top + 1:
+            top = label
+        elif label > top:
+            return None
+        elif 2 * top == pos:
+            cuts.append(pos)
+    return cuts
+
+
+def _piece(c: OpenGaussDiagram, lo: int, hi: int) -> tuple[tuple, tuple]:
+    """Canonical fields of positions lo+1..hi of a canonical diagram,
+    where gaps lo and hi are cut points."""
+    shift = lo // 2  # chords left of the cut
+    return (
+        tuple((label - shift, role) for label, role in c.endpoints[lo:hi]),
+        tuple((label - shift, sign) for label, sign in c.signs[shift:hi // 2]),
+    )
 
 
 def split_at(d: OpenGaussDiagram, gap: int) -> tuple[OpenGaussDiagram, OpenGaussDiagram]:
     """Split at a cut point; inverse of :func:`concat` up to relabelling."""
-    if gap not in cut_points(d):
+    c = canonicalize(d)
+    if gap not in cut_points(c):
         raise NotACutPoint(f"gap {gap} is spanned by a chord or out of range")
-    sign_of = dict(d.signs)
-
-    def piece(endpoints: tuple[tuple[int, str], ...]) -> OpenGaussDiagram:
-        labels = sorted({label for label, _ in endpoints})
-        return canonicalize(
-            OpenGaussDiagram(
-                endpoints=endpoints,
-                signs=tuple((label, sign_of[label]) for label in labels),
-            )
-        )
-
-    return piece(d.endpoints[:gap]), piece(d.endpoints[gap:])
+    left, right = _piece(c, 0, gap), _piece(c, gap, len(c.endpoints))
+    return OpenGaussDiagram(*left), OpenGaussDiagram(*right)
 
 
 def is_diagram_decomposable(d: OpenGaussDiagram) -> bool:
     """True iff some cut point has at least one chord on each side."""
-    total = len(d.endpoints)
-    return any(0 < gap < total for gap in cut_points(d))
+    return len(cut_points(d)) > 2

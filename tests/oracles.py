@@ -2,8 +2,9 @@
 
 Everything here recomputes a quantity the library also computes, by a
 different route: boundary circles via an explicit segment graph instead
-of dart orbits, coloring matrices by exhaustive assignment instead of
-guided backtracking, the slide-pattern table from explicit line
+of dart orbits, coloring matrices by exhaustive assignment or by a
+transfer pass over the open chords instead of the library's engine,
+the slide-pattern table from explicit line
 geometry instead of the shipped asset, odd writhe by a direct double
 loop.  Agreement between the two routes is what the tests assert, so
 nothing in this module may import the corresponding library internals.
@@ -140,6 +141,45 @@ def oracle_coloring_matrix(
         if ok:
             counts[colors[0]][colors[-1]] += 1
     return tuple(tuple(row) for row in counts)
+
+
+def oracle_transfer_matrix(
+    d: OpenGaussDiagram, x: FiniteBiquandle
+) -> tuple[tuple[int, ...], ...]:
+    """Count colorings by a left-to-right transfer pass over the line.
+
+    The state is (first color, current color, pending chords), where a
+    pending chord records the other strand's guessed incoming color and
+    its outgoing color; equal states merge.  The crossing maps come
+    from the tables alone, so the cost is about m^(open chords + 2) per
+    position whatever the diagram's labels.
+    """
+    m = x.m
+    positive = {(u, o): (x.up[u][o], x.down[o][u]) for u in range(m) for o in range(m)}
+    maps = {1: positive, -1: {out: pair for pair, out in positive.items()}}
+    sign_of = dict(d.signs)
+    states: dict[tuple, int] = {(a, a, ()): 1 for a in range(m)}
+    for label, role in d.endpoints:
+        f = maps[sign_of[label]]
+        nxt: dict[tuple, int] = {}
+        for (start, cur, pending), count in states.items():
+            entry = next((p for p in pending if p[0] == label), None)
+            if entry is None:
+                for guess in range(m):
+                    if role == "U":
+                        out, other_out = f[(cur, guess)]
+                    else:
+                        other_out, out = f[(guess, cur)]
+                    key = (start, out, tuple(sorted(pending + ((label, guess, other_out),))))
+                    nxt[key] = nxt.get(key, 0) + count
+            elif entry[1] == cur:
+                key = (start, entry[2], tuple(p for p in pending if p[0] != label))
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    matrix = [[0] * m for _ in range(m)]
+    for (start, cur, _), count in states.items():
+        matrix[start][cur] += count
+    return tuple(tuple(row) for row in matrix)
 
 
 # ----------------------------------------------------------------------------

@@ -94,3 +94,35 @@ def planar_diagram(rng: random.Random, ops: int) -> OpenGaussDiagram:
         else:
             current = concat(current, parse_gauss_code(rng.choice(_PLANAR_SEEDS)))
     return current
+
+
+def narrow_diagram(rng: random.Random, sizes: list[int], width: int) -> OpenGaussDiagram:
+    """Concatenated random prime pieces with scattered labels.
+
+    One piece per entry of ``sizes``; inside a piece at most ``width``
+    chords are open at any gap (``width`` >= 2) and only its ends are
+    cut points.  Labels are distinct random integers in no particular
+    order, so the result is not canonical.
+    """
+    tokens: list[tuple[int, str]] = []
+    signs: list[int] = []
+    for n in sizes:
+        opened: list[int] = []
+        made = 0
+        while made < n or opened:
+            can_open = made < n and len(opened) < width
+            can_close = opened and (len(opened) > 1 or made == n)
+            if can_open and (not can_close or rng.random() < 0.5):
+                opened.append(len(signs))
+                signs.append(rng.choice((1, -1)))
+                tokens.append((opened[-1], rng.choice(("O", "U"))))
+                made += 1
+            else:
+                chord = opened.pop(rng.randrange(len(opened)))
+                first_role = next(role for c, role in tokens if c == chord)
+                tokens.append((chord, "U" if first_role == "O" else "O"))
+    labels = rng.sample(range(1, 10 * len(signs) + 10), len(signs))
+    return OpenGaussDiagram(
+        endpoints=tuple((labels[c], role) for c, role in tokens),
+        signs=tuple(sorted((labels[c], sign) for c, sign in enumerate(signs))),
+    )

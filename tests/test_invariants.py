@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -24,8 +25,8 @@ from longvk.invariants import (
     trivial_quandle,
 )
 from longvk.monoid import concat
-from oracles import oracle_coloring_matrix, oracle_odd_writhe
-from strategies import random_diagram
+from oracles import oracle_coloring_matrix, oracle_odd_writhe, oracle_transfer_matrix
+from strategies import narrow_diagram, random_diagram
 
 VT = parse_gauss_code("O1+ O2+ U1+ U2+")
 TREFOIL = parse_gauss_code("O1+ U2+ O3+ U1+ O2+ U3+")
@@ -86,6 +87,9 @@ def test_axiom_violations_are_named():
     report = check_axioms(broken)
     assert report is not True
     assert ("up_invertible", (0, 0, 1)) in report
+    for _ in range(2):  # a failed check is not remembered as a pass
+        with pytest.raises(InvalidStructure):
+            coloring_matrix(VT, broken)
 
     d3 = dihedral_quandle(3)
     up = [list(row) for row in d3.up]
@@ -174,6 +178,76 @@ def test_coloring_matrix_matches_exhaustive_oracle(rng: random.Random):
         assert coloring_matrix(d, WITNESS_STRUCTURE) == oracle_coloring_matrix(
             d, WITNESS_STRUCTURE
         )
+
+
+# Order-3 biquandles (up table, down table) under which the colorings of
+# a prime chain follow every chord to the end of the line.
+LONG_CHAIN_TABLES = (
+    (((0, 0, 0), (1, 1, 1), (2, 2, 2)), ((0, 0, 0), (2, 1, 1), (1, 2, 2))),
+    (((0, 0, 0), (2, 2, 2), (1, 1, 1)), ((0, 0, 0), (1, 2, 2), (2, 1, 1))),
+    (((1, 1, 1), (2, 2, 2), (0, 0, 0)), ((1, 0, 2), (0, 2, 1), (2, 1, 0))),
+)
+
+
+def _prime_chain(rng: random.Random, n: int):
+    """``O1 O2 U1 O3 U2 ... On U(n-1) Un``: no interior cut point."""
+    sign = {i: rng.choice("+-") for i in range(1, n + 1)}
+    tokens = [f"O1{sign[1]}"]
+    for i in range(2, n + 1):
+        tokens += [f"O{i}{sign[i]}", f"U{i - 1}{sign[i - 1]}"]
+    tokens.append(f"U{n}{sign[n]}")
+    return parse_gauss_code(" ".join(tokens))
+
+
+def test_coloring_matrix_matches_transfer_oracle(rng: random.Random):
+    structures = [dihedral_quandle(3), dihedral_quandle(5), dihedral_quandle(7),
+                  trivial_quandle(2)]
+    structures += enumerate_biquandles(3) + enumerate_biquandles(4)[::5]
+    for x in structures:
+        # the oracle's cost grows as m^(open chords + 2)
+        width = {2: 5, 3: 4, 4: 3, 5: 3}.get(x.m, 2)
+        primes = [[rng.randint(1, 12)] for _ in range(4)]
+        products = [[rng.randint(1, 5) for _ in range(rng.randint(2, 4))] for _ in range(2)]
+        for sizes in primes + products:
+            d = narrow_diagram(rng, sizes, width)
+            assert coloring_matrix(d, x) == oracle_transfer_matrix(d, x), (x.name, d)
+
+
+def test_coloring_matrix_ignores_label_values():
+    big = parse_gauss_code("O1000000000+ U7- U1000000000+ O7-")
+    small = parse_gauss_code("O1+ U2- U1+ O2-")
+    biquandle = next(x for x in enumerate_biquandles(3) if x.kind == "biquandle")
+    for x in (dihedral_quandle(3), biquandle):
+        assert coloring_matrix(big, x) == coloring_matrix(small, x)
+
+
+def test_coloring_matrix_of_long_kink_chain(rng: random.Random):
+    kinks = ("O{0}+ U{0}+", "U{0}+ O{0}+", "O{0}- U{0}-", "U{0}- O{0}-")
+    dz3 = dihedral_quandle(3)
+    picks = [rng.randrange(len(kinks)) for _ in range(1200)]
+    d = parse_gauss_code(" ".join(kinks[k].format(i) for i, k in enumerate(picks, start=1)))
+    factors = [coloring_matrix(parse_gauss_code(kink.format(1)), dz3) for kink in kinks]
+    product = mat_identity(3)
+    for k in picks:
+        product = mat_mul(product, factors[k])
+    assert coloring_matrix(d, dz3) == product
+
+
+def test_coloring_matrix_of_long_prime_chain(rng: random.Random):
+    d = _prime_chain(rng, 600)
+    for up, down in LONG_CHAIN_TABLES:
+        x = FiniteBiquandle(m=3, up=up, down=down)
+        assert coloring_matrix(d, x) == oracle_transfer_matrix(d, x)
+
+
+def test_coloring_matrix_of_very_long_chain_is_fast(rng: random.Random):
+    d = _prime_chain(rng, 20_000)
+    up, down = LONG_CHAIN_TABLES[0]
+    for x in (FiniteBiquandle(m=3, up=up, down=down), dihedral_quandle(5)):
+        started = time.perf_counter()
+        matrix = coloring_matrix(d, x)
+        assert time.perf_counter() - started < 30.0
+        assert len(matrix) == x.m
 
 
 def test_matrix_product_law(rng: random.Random):
