@@ -20,6 +20,11 @@ Text grammar (tokens separated by single ASCII spaces)::
 ``""`` and ``"0"`` both denote the long trivial knot.  Every label must
 occur exactly twice, once per role, with a consistent sign.  Positions
 are 1-based; position ``i`` holds the ``i``-th token.
+
+Validation happens at the trust boundary: :func:`parse_gauss_code` and
+the ``OpenGaussDiagram`` constructor check all outside input.  What the
+package derives from valid diagrams, and codes it wrote itself, are
+rebuilt unchecked (the private ``_unchecked`` and ``_read_code``).
 """
 
 from __future__ import annotations
@@ -153,6 +158,25 @@ def parse_gauss_code(text: str) -> OpenGaussDiagram:
     )
 
 
+def _unchecked(cls, *values):
+    """``cls(*values)`` without validation, for fields derived from valid ones."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)  # what frozen dataclasses do
+    return obj
+
+
+def _read_code(code: str) -> OpenGaussDiagram:
+    """Diagram of a code that :func:`_canonical_code` wrote; unchecked."""
+    endpoints, signs = [], []
+    for token in code.split(" ") if code else ():
+        label = int(token[1:-1])
+        endpoints.append((label, token[0]))
+        if label > len(signs):  # canonical: a new chord is the next label
+            signs.append((label, 1 if token[-1] == "+" else -1))
+    return _unchecked(OpenGaussDiagram, tuple(endpoints), tuple(signs))
+
+
 def canonicalize(d: OpenGaussDiagram) -> OpenGaussDiagram:
     """Relabel chords 1..n in order of first appearance along the line.
 
@@ -165,9 +189,10 @@ def canonicalize(d: OpenGaussDiagram) -> OpenGaussDiagram:
     if all(old == new for old, new in rename.items()):
         return d
     sign_of = dict(d.signs)
-    return OpenGaussDiagram(
-        endpoints=tuple((rename[label], role) for label, role in d.endpoints),
-        signs=tuple(sorted((new, sign_of[old]) for old, new in rename.items())),
+    return _unchecked(
+        OpenGaussDiagram,
+        tuple((rename[label], role) for label, role in d.endpoints),
+        tuple((new, sign_of[old]) for old, new in rename.items()),
     )
 
 
@@ -202,7 +227,7 @@ def mirror(d: OpenGaussDiagram) -> OpenGaussDiagram:
         (label, UNDER if role == OVER else OVER) for label, role in d.endpoints
     )
     negated = tuple((label, -sign) for label, sign in d.signs)
-    return canonicalize(OpenGaussDiagram(endpoints=flipped, signs=negated))
+    return canonicalize(_unchecked(OpenGaussDiagram, flipped, negated))
 
 
 def linked(d: OpenGaussDiagram, a: int, b: int) -> bool:

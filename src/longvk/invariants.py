@@ -367,13 +367,15 @@ def coloring_matrix(d: OpenGaussDiagram, x: FiniteBiquandle) -> ColoringMatrix:
     known = _matrices(d.endpoints, d.signs)
     result = known.get(count)
     if result is None:
+        identity = mat_identity(x.m)
         for lo, hi in zip(cuts, cuts[1:]):
             endpoints, signs = _piece(d, lo, hi) if len(cuts) > 2 else (d.endpoints, d.signs)
             part = _matrices(endpoints, signs)
             if count not in part:
                 part[count] = count(endpoints, signs)
-            result = part[count] if result is None else mat_mul(result, part[count])
-        result = known[count] = mat_identity(x.m) if result is None else result
+            if part[count] != identity:  # every kink's is, so skip the product
+                result = part[count] if result is None else mat_mul(result, part[count])
+        result = known[count] = identity if result is None else result
     return result
 
 

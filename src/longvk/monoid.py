@@ -12,7 +12,7 @@ search over the move orbit and stay budget-bounded.
 
 from __future__ import annotations
 
-from longvk.gauss import GaussCodeError, OpenGaussDiagram, canonicalize
+from longvk.gauss import GaussCodeError, OpenGaussDiagram, _unchecked, canonicalize
 
 
 class NotACutPoint(GaussCodeError):
@@ -26,7 +26,7 @@ def concat(d1: OpenGaussDiagram, d2: OpenGaussDiagram) -> OpenGaussDiagram:
     shift = a.n
     endpoints = a.endpoints + tuple((label + shift, role) for label, role in b.endpoints)
     signs = a.signs + tuple((label + shift, sign) for label, sign in b.signs)
-    return OpenGaussDiagram(endpoints=endpoints, signs=signs)
+    return _unchecked(OpenGaussDiagram, endpoints, signs)
 
 
 def cut_points(d: OpenGaussDiagram) -> tuple[int, ...]:
@@ -72,7 +72,7 @@ def split_at(d: OpenGaussDiagram, gap: int) -> tuple[OpenGaussDiagram, OpenGauss
     if gap not in cut_points(c):
         raise NotACutPoint(f"gap {gap} is spanned by a chord or out of range")
     left, right = _piece(c, 0, gap), _piece(c, gap, len(c.endpoints))
-    return OpenGaussDiagram(*left), OpenGaussDiagram(*right)
+    return _unchecked(OpenGaussDiagram, *left), _unchecked(OpenGaussDiagram, *right)
 
 
 def is_diagram_decomposable(d: OpenGaussDiagram) -> bool:

@@ -16,15 +16,21 @@ recorded in an event stays meaningful after the rewrite.
 
 Slide moves are only legal for the 16 block-order/sign patterns listed
 in data/r3_patterns.txt, the configurations a triangle of strands can
-actually realize.  Poke legality lives in data/r2_patterns.txt.  Both
-tables are loaded once and validated on load.
+actually realize; the table is loaded once and validated on load.  A
+poke is legal in both pairings, and its two chords always get opposite
+signs.
+
+``apply_move`` checks every event it is given.  The listing works on a
+canonical diagram the package made itself and writes each insert's
+code by splicing the parent's code instead of rewriting the diagram.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations_with_replacement, product
+from itertools import accumulate, product
 
 from longvk.gauss import (
     OVER,
@@ -32,8 +38,9 @@ from longvk.gauss import (
     GaussCodeError,
     OpenGaussDiagram,
     _canonical_code,
+    _read_code,
+    _unchecked,
     canonicalize,
-    parse_gauss_code,
 )
 
 
@@ -142,18 +149,6 @@ R3Key = tuple[str, str, str, int, int, int]
 
 _SIGN_OF = {"+": 1, "-": -1}
 _r3_table: frozenset[R3Key] | None = None
-_r2_table: frozenset[tuple[str, int, int]] | None = None
-
-
-def _read_asset(name: str) -> list[list[str]]:
-    text = resources.files("longvk").joinpath(f"data/{name}").read_text()
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split())
-    return rows
 
 
 def _flip_orders(key: R3Key) -> R3Key:
@@ -174,7 +169,10 @@ def load_r3_patterns() -> frozenset[R3Key]:
     if _r3_table is not None:
         return _r3_table
     keys = []
-    for row in _read_asset("r3_patterns.txt"):
+    text = resources.files("longvk").joinpath("data/r3_patterns.txt").read_text()
+    for row in (line.split() for line in text.splitlines()):
+        if not row or row[0].startswith("#"):
+            continue
         if len(row) != 6:
             raise ValueError(f"r3_patterns: bad row {row}")
         ot, om, ob = row[:3]
@@ -189,26 +187,6 @@ def load_r3_patterns() -> frozenset[R3Key]:
         if _flip_orders(key) not in table:
             raise ValueError(f"r3_patterns: {key} has no inverse-side row")
     _r3_table = table
-    return table
-
-
-def load_r2_patterns() -> frozenset[tuple[str, int, int]]:
-    """Legal poke (pairing, sign1, sign2) combinations."""
-    global _r2_table
-    if _r2_table is not None:
-        return _r2_table
-    combos = []
-    for row in _read_asset("r2_patterns.txt"):
-        if len(row) != 3 or row[0] not in _PAIRINGS:
-            raise ValueError(f"r2_patterns: bad row {row}")
-        combos.append((row[0], _SIGN_OF[row[1]], _SIGN_OF[row[2]]))
-    table = frozenset(combos)
-    if len(combos) != 4 or len(table) != 4:
-        raise ValueError("r2_patterns: expected 4 distinct rows")
-    for pairing, s1, s2 in table:
-        if s1 + s2 != 0:
-            raise ValueError("r2_patterns: poke signs must be opposite")
-    _r2_table = table
     return table
 
 
@@ -267,16 +245,12 @@ def _apply_r2_insert(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     if m.roles1 not in (OVER, UNDER):
         raise IllegalMove(f"poke first-block role must be O or U, got {m.roles1!r}")
     _check_sign(m.sign)
-    if (m.pairing, m.sign, -m.sign) not in load_r2_patterns():
-        raise IllegalMove(f"poke pairing {m.pairing!r} with sign {m.sign} is not legal")
+    if m.pairing not in _PAIRINGS:
+        raise IllegalMove(f"poke pairing must be parallel or crossed, got {m.pairing!r}")
     a, b = d.n + 1, d.n + 2
-    role1 = m.roles1
-    role2 = UNDER if role1 == OVER else OVER
-    block1 = ((a, role1), (b, role1))
-    if m.pairing == "parallel":
-        block2 = ((a, role2), (b, role2))
-    else:
-        block2 = ((b, role2), (a, role2))
+    role2 = UNDER if m.roles1 == OVER else OVER
+    block1 = ((a, m.roles1), (b, m.roles1))
+    block2 = ((a, role2), (b, role2)) if m.pairing == "parallel" else ((b, role2), (a, role2))
     endpoints = (
         d.endpoints[: m.gap]
         + block1
@@ -322,9 +296,13 @@ def _two_chord_blocks(d: OpenGaussDiagram) -> dict[frozenset[int], list[int]]:
 
 def removable_pokes(d: OpenGaussDiagram) -> tuple[tuple[int, int], ...]:
     """Label pairs forming removable poke patterns, each pair sorted."""
+    return _removable_pokes(d, _two_chord_blocks(d))
+
+
+def _removable_pokes(d: OpenGaussDiagram, blocks: dict) -> tuple[tuple[int, int], ...]:
     ends, sign_of = d.endpoints, dict(d.signs)
     out = []
-    for pair, starts in _two_chord_blocks(d).items():
+    for pair, starts in blocks.items():
         a, b = sorted(pair)
         roles = {ends[p - 1][1] + ends[p][1] for p in starts}  # an OO and a UU block
         if sign_of[a] + sign_of[b] == 0 and {OVER * 2, UNDER * 2} <= roles:
@@ -422,7 +400,10 @@ def slide_sites(d: OpenGaussDiagram) -> tuple[tuple[int, int, int], ...]:
     each two-chord block is joined with the blocks sharing its chord a and
     with a block on the remaining pair; the pattern table confirms each.
     """
-    blocks = _two_chord_blocks(d)
+    return _slide_sites(d, _two_chord_blocks(d))
+
+
+def _slide_sites(d: OpenGaussDiagram, blocks: dict) -> tuple[tuple[int, int, int], ...]:
     pairs_of: dict[int, list[frozenset[int]]] = {}
     for pair in blocks:
         for label in pair:
@@ -459,26 +440,60 @@ def apply_move(d: OpenGaussDiagram, m: MoveEvent) -> OpenGaussDiagram:
     if not all(type(v) is int for v in numbers + list(m.site or ())):
         raise IllegalMove(f"gaps, labels and site entries must be integers: {m}")
     endpoints, signs = _APPLY[m.kind](canonicalize(d), m)
-    return canonicalize(OpenGaussDiagram(endpoints=endpoints, signs=signs))
+    return canonicalize(_unchecked(OpenGaussDiagram, endpoints, signs))
+
+
+_poke_event = functools.lru_cache(maxsize=4096)(MoveEvent.r2_insert)  # listings share events
 
 
 def _list_moves(c: OpenGaussDiagram, cap: int | None) -> dict[str, MoveEvent]:
     """Result code -> first event making it, over every legal move from the
-    canonical c within cap crossings; no result diagram is built."""
-    n, gaps, signs = c.n, range(2 * c.n + 1), (1, -1)
+    canonical c within cap crossings; no result diagram is built.
+
+    Removals and slides rewrite c; inserts are spliced into c's code.  With
+    F chords begun before the gap, the code before it stays, the new chords
+    are F+1 (and F+2 for a poke) and later labels above F move up by one
+    (two).  The loops run over the legal inserts in the events' order.
+    """
+    n, ends, blocks = c.n, c.endpoints, _two_chord_blocks(c)
     events = [MoveEvent.r1_remove(label) for label in removable_kinks(c)]
-    events += [MoveEvent.r2_remove(a, b) for a, b in removable_pokes(c)]
-    events += [MoveEvent.r3(site) for site in slide_sites(c)]
-    if cap is None or n + 1 <= cap:
-        events += [MoveEvent.r1_insert(gap, sign, order)
-                   for gap, order, sign in product(gaps, _ORDERS, signs)]
-    if cap is None or n + 2 <= cap:
-        events += [MoveEvent.r2_insert(gap, gap2, roles1, pairing, sign)
-                   for gap, gap2 in combinations_with_replacement(gaps, 2)
-                   for roles1, pairing, sign in product((OVER, UNDER), _PAIRINGS, signs)]
+    events += [MoveEvent.r2_remove(a, b) for a, b in _removable_pokes(c, blocks)]
+    events += [MoveEvent.r3(site) for site in _slide_sites(c, blocks)]
     listing: dict[str, MoveEvent] = {}
     for event in events:
         listing.setdefault(_canonical_code(*_APPLY[event.kind](c, event)), event)
+    text = ["+" if sign == 1 else "-" for _, sign in c.signs]  # by label - 1
+    # Per gap: the code before it, each token followed by a space, and F.
+    heads = ["", *accumulate(f"{role}{label}{text[label - 1]} " for label, role in ends)]
+    begun = [0, *accumulate((label for label, _ in ends), max)]
+
+    def tail(gap: int, shift: int) -> list[str]:
+        return [f"{role}{label + shift if label > begun[gap] else label}{text[label - 1]}"
+                for label, role in ends[gap:]]
+
+    gaps, signs = range(2 * n + 1), ((1, "+", "-"), (-1, "-", "+"))
+    for gap in gaps if cap is None or n + 1 <= cap else ():
+        new, rest = begun[gap] + 1, "".join(" " + token for token in tail(gap, 1))
+        for order, (sign, s, _) in product(_ORDERS, signs):
+            code = f"{heads[gap]}{order[0]}{new}{s} {order[1]}{new}{s}{rest}"
+            if code not in listing:
+                listing[code] = MoveEvent.r1_insert(gap, sign, order)
+    for gap in gaps if cap is None or n + 2 <= cap else ():
+        a, b, rest, middle = begun[gap] + 1, begun[gap] + 2, tail(gap, 2), ""
+        pokes = []  # (roles1, pairing, sign, first block and a space, second block)
+        for (roles1, role2), pairing, (sign, sa, sb) in product(
+                ((OVER, UNDER), (UNDER, OVER)), _PAIRINGS, signs):
+            x, y = f"{a}{sa}", f"{b}{sb}"
+            u, v = (x, y) if pairing == "parallel" else (y, x)
+            pokes.append((roles1, pairing, sign,
+                          f"{roles1}{x} {roles1}{y} ", f"{role2}{u} {role2}{v}"))
+        for k in range(len(rest) + 1):  # the second block lands at gap + k
+            after = "".join(" " + token for token in rest[k:])
+            for roles1, pairing, sign, first, second in pokes:
+                code = f"{heads[gap]}{first}{middle}{second}{after}"
+                if code not in listing:
+                    listing[code] = _poke_event(gap, gap + k, roles1, pairing, sign)
+            middle += f"{rest[k]} " if k < len(rest) else ""
     return listing
 
 
@@ -492,7 +507,7 @@ def enumerate_moves(
     slides, then inserts) and sorted by it, so the order is reproducible.
     """
     listing = _list_moves(canonicalize(d), cap)
-    return tuple((listing[code], parse_gauss_code(code)) for code in sorted(listing))
+    return tuple((listing[code], _read_code(code)) for code in sorted(listing))
 
 
 def inverse_event(d_before: OpenGaussDiagram, m: MoveEvent) -> MoveEvent:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from longvk.gauss import OpenGaussDiagram, canonicalize, parse_gauss_code, serialize
+from longvk.gauss import OpenGaussDiagram, _read_code, canonicalize, serialize
 from longvk.invariants import (
     FiniteBiquandle,
     coloring_matrix,
@@ -132,12 +132,13 @@ class _OrbitWalk:
     also each move into a state that another root's orbit owns, which
     is how a caller sees two orbits meet.  Each layer expands the
     smallest frontier (ties go to the first root), parents and then
-    each parent's children in code order.  States are canonical codes:
-    a parent is parsed to list its children's codes, and no child
-    diagram is built.  ``seen`` maps each code to ``(side, parent code,
-    event)``.  When iteration ends by itself, ``stop`` says why: the
-    orbit closed (a frontier ran empty), ``max_depth`` layers were
-    expanded, or the next new state would pass ``max_states``.
+    each parent's children in code order.  States are canonical codes
+    that the package wrote: a parent is read back unchecked to list its
+    children's codes, and no child diagram is built.  ``seen`` maps each
+    code to ``(side, parent code, event)``.  When iteration ends by
+    itself, ``stop`` says why: the orbit closed (a frontier ran empty),
+    ``max_depth`` layers were expanded, or the next new state would
+    pass ``max_states``.
     """
 
     def __init__(self, roots: list[OpenGaussDiagram], budget: Budget) -> None:
@@ -163,7 +164,7 @@ class _OrbitWalk:
             cap = self.budget.max_crossings
             for code in sorted(frontiers[side]):
                 # Codes are distinct, so sorting the pairs never compares events.
-                for child_code, event in sorted(_list_moves(parse_gauss_code(code), cap).items()):
+                for child_code, event in sorted(_list_moves(_read_code(code), cap).items()):
                     owner = self.seen.get(child_code)
                     if owner is None:
                         if len(self.seen) >= self.budget.max_states:
@@ -229,7 +230,7 @@ def equivalent_within(
         chains[side] = [(parent, event)] + _chain(walk.seen, parent)
         chains[1 - side] = _chain(walk.seen, code)
         forward = [step for _, step in reversed(chains[0])]
-        backward = [inverse_event(parse_gauss_code(p), step) for p, step in chains[1]]
+        backward = [inverse_event(_read_code(p), step) for p, step in chains[1]]
         path = tuple(forward + backward)
         replay = c1
         for step in path:
@@ -254,8 +255,8 @@ def min_genus_in_orbit(
         budget = default_budget(c.n)
     walk = _OrbitWalk([c], budget)
     genus, _, code = min((supporting_genus(x), x.n, code)
-                         for _, _, _, code in walk for x in [parse_gauss_code(code)])
-    return genus, parse_gauss_code(code), len(walk.seen)
+                         for _, _, _, code in walk for x in [_read_code(code)])
+    return genus, _read_code(code), len(walk.seen)
 
 
 def commute_check(
@@ -311,7 +312,7 @@ def prime_scan(d: OpenGaussDiagram, budget: Budget | None = None) -> dict:
     walk = _OrbitWalk([c], budget)
     decomposable = []
     for _, _, _, code in walk:
-        diagram = parse_gauss_code(code)
+        diagram = _read_code(code)
         interior = [g for g in cut_points(diagram) if 0 < g < 2 * diagram.n]
         if interior:
             cuts = []

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from longvk.gauss import OVER, UNDER, OpenGaussDiagram, canonicalize
+from longvk.gauss import OVER, UNDER, OpenGaussDiagram, _unchecked, canonicalize
 
 
 class InvalidRibbonGraph(ValueError):
@@ -134,12 +134,7 @@ def build_band_surface(d: OpenGaussDiagram) -> RibbonGraph:
             rotations.append((o_in, u_out, o_out, u_in))
         over_in.append(o_in)
         under_in.append(u_in)
-    return RibbonGraph(
-        rotations=tuple(rotations),
-        over_in=tuple(over_in),
-        under_in=tuple(under_in),
-        start_dart=0,
-    )
+    return _unchecked(RibbonGraph, tuple(rotations), tuple(over_in), tuple(under_in), 0)
 
 
 def euler_characteristic(rg: RibbonGraph) -> int:

@@ -5,8 +5,16 @@ import random
 import pytest
 
 import longvk.moves as moves
-from longvk.gauss import OpenGaussDiagram, canonicalize, parse_gauss_code, serialize
+from longvk.gauss import (
+    OpenGaussDiagram,
+    _read_code,
+    canonicalize,
+    mirror,
+    parse_gauss_code,
+    serialize,
+)
 from longvk.invariants import coloring_matrix, dihedral_quandle, odd_writhe
+from longvk.monoid import concat, split_at
 from longvk.moves import (
     IllegalMove,
     MoveEvent,
@@ -14,12 +22,12 @@ from longvk.moves import (
     classify_slide_site,
     enumerate_moves,
     inverse_event,
-    load_r2_patterns,
     load_r3_patterns,
     removable_kinks,
     removable_pokes,
     slide_sites,
 )
+from longvk.surface import RibbonGraph, build_band_surface
 from oracles import oracle_enumerate_moves, oracle_slide_patterns, oracle_slide_sites
 from strategies import mixed_diagram, random_diagram
 
@@ -163,10 +171,12 @@ def test_pattern_tables_load_and_validate():
     assert len(r3) == 16
     for key in r3:
         assert moves._flip_orders(key) in r3
-    r2 = load_r2_patterns()
-    assert r2 == frozenset(
-        [("parallel", 1, -1), ("parallel", -1, 1), ("crossed", 1, -1), ("crossed", -1, 1)]
-    )
+    for pairing in ("parallel", "crossed"):  # all four pokes are legal
+        for sign in (1, -1):
+            poke = apply_move(parse_gauss_code(""), MoveEvent.r2_insert(0, 0, "O", pairing, sign))
+            assert poke.signs == ((1, sign), (2, -sign))  # the partner gets -sign
+    with pytest.raises(IllegalMove):
+        apply_move(parse_gauss_code(""), MoveEvent.r2_insert(0, 0, "O", "sideways", 1))
 
 
 def test_slide_table_equals_geometric_model():
@@ -269,6 +279,40 @@ def test_listing_matches_exhaustive_oracles(rng: random.Random):
         for cap in (d.n, d.n + 1, d.n + 2):
             assert enumerate_moves(d, cap=cap) == oracle_enumerate_moves(d, cap=cap), (
                 serialize(d), cap)
+
+
+def test_listed_codes_read_back_as_parsed(rng: random.Random):
+    """Every code the listing writes, spliced or rewritten, reads back
+    unchecked to the diagram the validating parser builds from it.  The
+    inputs are those of test_listing_matches_exhaustive_oracles."""
+    for i in range(24):
+        d = mixed_diagram(rng, 8) if i % 2 else _with_triangle(rng, mixed_diagram(rng, 5))
+        codes = set()
+        for cap in (d.n, d.n + 1, d.n + 2):
+            codes.update(moves._list_moves(canonicalize(d), cap))
+        for code in codes:
+            assert _read_code(code) == parse_gauss_code(code), code
+
+
+def test_derived_diagrams_pass_validation(rng: random.Random):
+    """What the package builds without validation, the public constructors
+    accept unchanged."""
+    for _ in range(40):
+        d = random_diagram(rng, rng.randint(0, 7))
+        scattered = OpenGaussDiagram(  # labels 3k + 7: not canonical
+            endpoints=tuple((3 * label + 7, role) for label, role in d.endpoints),
+            signs=tuple((3 * label + 7, sign) for label, sign in d.signs),
+        )
+        product = concat(scattered, random_diagram(rng, rng.randint(0, 4)))
+        derived = [canonicalize(scattered), mirror(scattered), product,
+                   *split_at(product, 2 * d.n)]
+        listing = enumerate_moves(scattered, cap=d.n + 2)
+        for event, child in rng.sample(listing, min(10, len(listing))):
+            derived += [apply_move(scattered, event), child]
+        for x in derived:
+            assert OpenGaussDiagram(endpoints=x.endpoints, signs=x.signs) == x
+        rg = build_band_surface(scattered)
+        assert RibbonGraph(rg.rotations, rg.over_in, rg.under_in, rg.start_dart) == rg
 
 
 def test_enumerate_cap_suppresses_growth():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from longvk.corpus import full_corpus, virtual_corpus
-from longvk.gauss import canonicalize, parse_gauss_code, serialize
+from longvk.gauss import _read_code, canonicalize, parse_gauss_code, serialize
 from longvk.invariants import dihedral_quandle
 from longvk.monoid import concat
 from longvk.moves import apply_move
@@ -16,6 +16,7 @@ from longvk.search import (
     EQUIVALENT,
     INCONCLUSIVE,
     Budget,
+    _OrbitWalk,
     commute_check,
     default_budget,
     equivalent_within,
@@ -134,6 +135,20 @@ def test_walked_pairs_are_recovered(rng: random.Random):
         for event in v.path:
             replay = apply_move(replay, event)
         assert serialize(replay) == serialize(canonicalize(end))
+
+
+def test_walked_states_read_back_as_parsed(rng: random.Random):
+    """The walker reads its states back unchecked; on walked pairs every
+    admitted state reads back to what the validating parser builds."""
+    for _ in range(3):
+        start = mixed_diagram(rng, 4)
+        end, _ = walked_diagram(rng, start, steps=3, cap=start.n + 2)
+        walk = _OrbitWalk([canonicalize(start), canonicalize(end)], Budget(start.n + 2, 3000, 6))
+        for _ in walk:
+            pass
+        assert len(walk.seen) > 2
+        for code in walk.seen:
+            assert _read_code(code) == parse_gauss_code(code), code
 
 
 def test_stable_json_is_reproducible():
