@@ -52,6 +52,7 @@ from longvk.surface import (
 )
 
 OK, INPUT_ERROR, BUDGET_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
+SCAN_MAX = 5  # enumerating order 5 takes over a minute, order 6 hours
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -95,10 +96,12 @@ def _resolve_budget(args: argparse.Namespace, n: int) -> Budget:
 
 
 def _resolve_catalog(args: argparse.Namespace) -> list[FiniteBiquandle]:
+    scan = getattr(args, "scan_structures", None)
+    if scan is not None and not 1 <= scan <= SCAN_MAX:
+        raise ValueError(f"--scan-structures must be in 1..{SCAN_MAX}, got {scan}")
     catalog = [structure_from_spec(spec) for spec in args.structure]
     if not catalog:
         catalog = default_catalog()
-    scan = getattr(args, "scan_structures", None)
     if scan:
         for m in range(2, scan + 1):
             catalog.extend(enumerate_biquandles(m))
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p)
     _add_structure_flag(p)
     p.add_argument("--scan-structures", type=int, default=None, metavar="M",
-                   help="also scan all biquandles up to size M for witnesses")
+                   help=f"also scan all biquandles up to size M (1..{SCAN_MAX}) for witnesses")
     p.set_defaults(func=_cmd_commute)
 
     p = sub.add_parser("prime-scan", help="look for decomposable diagrams in the orbit")

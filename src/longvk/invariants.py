@@ -35,8 +35,9 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from longvk.gauss import OVER, UNDER, OpenGaussDiagram, canonicalize
+from longvk.gauss import OVER, UNDER, OpenGaussDiagram, _unchecked
 from longvk.monoid import _canonical_cuts, _piece
+from longvk.moves import _descend
 
 ColoringMatrix = tuple[tuple[int, ...], ...]
 
@@ -352,37 +353,40 @@ def coloring_matrix(d: OpenGaussDiagram, x: FiniteBiquandle) -> ColoringMatrix:
 
     Arcs are the 2n+1 line segments between classical passages; for a
     quandle the over-passages act trivially, which recovers the coarser
-    under-passage segmentation.  The matrix multiplies along
-    concatenation, so one pass finds the cut points, and each prime
-    factor is counted and cached on its own (diagrams one move apart
-    usually share one) before the product is cached for the whole.
-    Linear structures over GF(p) count by one elimination pass, the
-    others depth first on an explicit stack; nothing recurses.
+    under-passage segmentation.  The matrix is invariant under the moves
+    and multiplies along concatenation, so the count runs on the prime
+    factors of the diagram left once its kinks and pokes are removed.
+    Each factor is counted once per structure and cached, so diagrams a
+    kink or poke apart share their entries; identity factors are not
+    multiplied.  Linear structures over GF(p) count by one elimination
+    pass, the others depth first on an explicit stack, one row per orbit
+    of colors under the structure's automorphisms; nothing recurses.
     """
     count = _counter(x.m, x.up, x.down, x.kind)
-    cuts = _canonical_cuts(d)
-    if cuts is None:
-        d = canonicalize(d)
-        cuts = _canonical_cuts(d)
-    known = _matrices(d.endpoints, d.signs)
-    result = known.get(count)
-    if result is None:
-        identity = mat_identity(x.m)
-        for lo, hi in zip(cuts, cuts[1:]):
-            endpoints, signs = _piece(d, lo, hi) if len(cuts) > 2 else (d.endpoints, d.signs)
-            part = _matrices(endpoints, signs)
-            if count not in part:
-                part[count] = count(endpoints, signs)
-            if part[count] != identity:  # every kink's is, so skip the product
-                result = part[count] if result is None else mat_mul(result, part[count])
-        result = known[count] = identity if result is None else result
+    identity = result = mat_identity(x.m)
+    for endpoints, signs, known in _factors(d.endpoints, d.signs):
+        matrix = known.get(count)
+        if matrix is None:
+            matrix = known[count] = count(endpoints, signs)
+        if matrix != identity:
+            result = matrix if result is identity else mat_mul(result, matrix)
     return result
 
 
 @functools.lru_cache(maxsize=1 << 12)
+def _factors(endpoints: tuple, signs: tuple) -> tuple:
+    """(endpoints, signs, matrices) per prime factor of a valid diagram
+    with no kink or poke left, the matrices shared through ``_matrices``."""
+    d = _unchecked(OpenGaussDiagram, *_descend(endpoints, signs))
+    cuts = _canonical_cuts(d)
+    pieces = (_piece(d, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    return tuple((e, s, _matrices(e, s)) for e, s in pieces)
+
+
+@functools.lru_cache(maxsize=1 << 12)
 def _matrices(endpoints: tuple, signs: tuple) -> dict:
-    """A canonical diagram's matrices by counting function, one per
-    structure used on it; whole diagrams and prime factors alike."""
+    """A prime canonical diagram's matrices by counting function, one per
+    structure used on it."""
     return {}
 
 
@@ -411,10 +415,44 @@ def _counter(m: int, up: tuple, down: tuple, kind: str):
                 tuple(s[g][cur][::-1] for g in range(m)) for cur in range(m))
             tables[sign, role] = (pairs, tuple(
                 row[0][0] if len({out for out, _ in row}) == 1 else -1 for row in pairs))
-    return functools.partial(_stack_count, tables, m)
+    orbits = [None] * m  # per color a: (least r in a's orbit, automorphism p with p(r) == a)
+    for r in range(m):
+        if orbits[r] is None:
+            for a in range(r, m):
+                if orbits[a] is None and (p := _automorphism(x._s, m, r, a)):
+                    orbits[a] = (r, p)
+    return functools.partial(_stack_count, tables, m, tuple(orbits))
 
 
-def _stack_count(tables: dict, m: int, endpoints: tuple, signs: tuple) -> ColoringMatrix:
+def _automorphism(s: tuple, m: int, r: int, a: int) -> tuple[int, ...] | None:
+    """A permutation p commuting with the crossing map s and p(r) == a, or None.
+
+    Depth first over partial bijections: mapping x to y forces
+    p(s[x][z]) = s[y][p(z)] componentwise, and likewise for s[z][x], for
+    every z already mapped; a clash drops the branch.
+    """
+    stack = [([-1] * m, [-1] * m, [(r, a)])]
+    while stack:
+        p, inv, todo = stack.pop()
+        while todo:
+            x, y = todo.pop()
+            if p[x] != y:
+                if p[x] >= 0 or inv[y] >= 0:
+                    break
+                p[x], inv[y] = y, x
+                for z, w in enumerate(p):
+                    if w >= 0:
+                        todo += zip(s[x][z] + s[z][x], s[y][w] + s[w][y])
+        else:
+            if -1 not in p:
+                return tuple(p)
+            x = p.index(-1)
+            stack += [(p[:], inv[:], [(x, y)]) for y in range(m - 1, -1, -1) if inv[y] < 0]
+    return None
+
+
+def _stack_count(tables: dict, m: int, orbits: tuple, endpoints: tuple,
+                 signs: tuple) -> ColoringMatrix:
     """Count the colorings of a canonical diagram depth first.
 
     At a chord's first passage the current color either fixes the next
@@ -423,7 +461,9 @@ def _stack_count(tables: dict, m: int, endpoints: tuple, signs: tuple) -> Colori
     color is tried, storing its outgoing color.  The second passage
     applies the deferred crossing or keeps only the matching guess.
     A chord's slot is written before it is read, so backtracking off
-    the explicit stack undoes nothing.
+    the explicit stack undoes nothing.  An automorphism p of the
+    structure maps colorings to colorings, so row p(r) is row r with its
+    columns moved by p, and only each orbit's least color r is counted.
     """
     plan, top = [], 0  # in canonical labels a chord begins above all earlier ones
     for label, role in endpoints:
@@ -433,7 +473,13 @@ def _stack_count(tables: dict, m: int, endpoints: tuple, signs: tuple) -> Colori
     slot: list = [None] * (len(signs) + 1)  # (-1, first color) or (guess, other out)
     matrix = []
     for start in range(m):
+        rep, perm = orbits[start]
         row = [0] * m
+        if rep < start:
+            for b, value in enumerate(matrix[rep]):
+                row[perm[b]] = value
+            matrix.append(tuple(row))
+            continue
         stack = []  # (position, color there, next guess)
         idx, cur = 0, start
         while True:
@@ -549,6 +595,7 @@ def mat_mul(a: ColoringMatrix, b: ColoringMatrix) -> ColoringMatrix:
     return tuple(tuple(sum([x * y for x, y in zip(row, col)]) for col in cols) for row in a)
 
 
+@functools.lru_cache(maxsize=64)
 def mat_identity(m: int) -> ColoringMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
@@ -559,10 +606,14 @@ def commutator_witness(
     """First entry where M(a)M(b) and M(b)M(a) differ, or None.
 
     Returns ``(row, col, left_value, right_value)`` scanning rows first.
-    A witness proves that a#b and b#a are inequivalent.
+    A witness proves that a#b and b#a are inequivalent.  Equal matrices,
+    or an identity on either side, commute, so nothing is multiplied.
     """
     ma = coloring_matrix(a, x)
     mb = coloring_matrix(b, x)
+    identity = mat_identity(x.m)
+    if ma == mb or ma == identity or mb == identity:
+        return None
     left = mat_mul(ma, mb)
     right = mat_mul(mb, ma)
     for i in range(x.m):
@@ -596,9 +647,6 @@ def canonical_table_form(
     return best
 
 
-_ENUM_CACHE: dict[int, tuple[FiniteBiquandle, ...]] = {}
-
-
 def _kink_permutations(m: int, largest: int | None = None):
     """One permutation of range(m) per cycle type, cycles on consecutive blocks."""
     if m == 0:
@@ -625,8 +673,11 @@ def enumerate_biquandles(m: int) -> list[FiniteBiquandle]:
     remain; the sorted forms are named ``biq:m:NNN``.  Results are cached
     per process; m = 4 takes about 0.15 s, m = 5 about 75 s.
     """
-    if m in _ENUM_CACHE:
-        return list(_ENUM_CACHE[m])
+    return list(_enumerate(m))
+
+
+@functools.lru_cache(maxsize=8)
+def _enumerate(m: int) -> tuple[FiniteBiquandle, ...]:
     found: dict[tuple, None] = {}
     for sigma in _kink_permutations(m):
         s: list[list[tuple[int, int] | None]] = [[None] * m for _ in range(m)]
@@ -696,5 +747,4 @@ def enumerate_biquandles(m: int) -> list[FiniteBiquandle]:
                 name=f"biq:{m}:{index:03d}",
             )
         )
-    _ENUM_CACHE[m] = tuple(result)
-    return result
+    return tuple(result)

@@ -23,6 +23,7 @@ signs.
 ``apply_move`` checks every event it is given.  The listing works on a
 canonical diagram the package made itself and writes each insert's
 code by splicing the parent's code instead of rewriting the diagram.
+The coloring layer removes every kink and poke in one linear pass.
 """
 
 from __future__ import annotations
@@ -308,6 +309,51 @@ def _removable_pokes(d: OpenGaussDiagram, blocks: dict) -> tuple[tuple[int, int]
         if sign_of[a] + sign_of[b] == 0 and {OVER * 2, UNDER * 2} <= roles:
             out.append((a, b))
     return tuple(sorted(out))
+
+
+def _descend(endpoints: tuple, signs: tuple) -> tuple[tuple, tuple]:
+    """Canonical fields of a valid diagram once no kink or poke is left.
+
+    A linked list runs over positions 1..2n and a worklist holds the left
+    ends of adjacent pairs to check.  A pair turns into a kink, or into
+    one block of a poke, only when something between its ends goes, so a
+    removal re-checks just the pairs it closes up: one pass, linear time.
+    Kink and poke removals meet again after overlaps, so the result does
+    not depend on their order.
+    """
+    size, sign_of = len(endpoints), dict(signs)
+    nxt, prv = list(range(1, size + 2)), list(range(-1, size + 1))  # ends: 0, size + 1
+    partner, first = [0] * (size + 1), {}
+    for pos, (label, _) in enumerate(endpoints, start=1):
+        other = first.setdefault(label, pos)
+        partner[pos], partner[other] = other, pos
+    alive = [False] + [True] * size
+    work = list(range(size - 1, 0, -1))
+    while work:
+        p = work.pop()
+        q = nxt[p]
+        if not alive[p] or q > size:
+            continue
+        (a, role), (b, role_b) = endpoints[p - 1], endpoints[q - 1]
+        if a == b:
+            gone = (p, q)
+        elif role == role_b and sign_of[a] + sign_of[b] == 0 and (
+                nxt[partner[p]] == partner[q] or nxt[partner[q]] == partner[p]):
+            gone = (p, q, partner[p], partner[q])
+        else:
+            continue
+        for x in gone:  # the last removal in each run pushes its live left end
+            alive[x] = False
+            nxt[prv[x]], prv[nxt[x]] = nxt[x], prv[x]
+            work.append(prv[x])
+    rename: dict[int, int] = {}
+    out = []
+    p = nxt[0]
+    while p <= size:
+        label, role = endpoints[p - 1]
+        out.append((rename.setdefault(label, len(rename) + 1), role))
+        p = nxt[p]
+    return tuple(out), tuple((new, sign_of[old]) for old, new in rename.items())
 
 
 # =============================================================================

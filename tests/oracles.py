@@ -8,15 +8,19 @@ the slide-pattern table from explicit line
 geometry instead of the shipped asset, odd writhe by a direct double
 loop.  Agreement between the two routes is what the tests assert, so
 nothing in this module may import the corresponding library internals.
-The move-listing oracles are the one exception: they try every
-position triple and every candidate event through the public
-``classify_slide_site`` and ``apply_move``, so what they check is that
-the library's listing finds every legal move, not the rewrite itself.
+The move-listing and descent oracles are the one exception: they try
+every position triple and every candidate event, or remove one kink or
+poke at a time, through the public ``classify_slide_site``,
+``removable_kinks``, ``removable_pokes`` and ``apply_move``, so what
+they check is that the library's listing finds every legal move and
+that its one-pass descent ends where single removals end, not the
+rewrite itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from longvk.gauss import OpenGaussDiagram, canonicalize, serialize
@@ -27,6 +31,8 @@ from longvk.moves import (
     apply_move,
     classify_slide_site,
     load_r3_patterns,
+    removable_kinks,
+    removable_pokes,
 )
 
 
@@ -305,3 +311,18 @@ def oracle_enumerate_moves(
             continue
         seen.setdefault(serialize(result), (event, result))
     return tuple(seen[code] for code in sorted(seen))
+
+
+def oracle_descend(d: OpenGaussDiagram, rng: random.Random | None = None) -> OpenGaussDiagram:
+    """Remove kinks and pokes one at a time until none is left.
+
+    Without ``rng`` the first removable kink goes first, else the first
+    removable poke; with it, a random one of all removable patterns.
+    """
+    c = canonicalize(d)
+    while True:
+        events = [MoveEvent.r1_remove(label) for label in removable_kinks(c)]
+        events += [MoveEvent.r2_remove(a, b) for a, b in removable_pokes(c)]
+        if not events:
+            return c
+        c = apply_move(c, rng.choice(events) if rng else events[0])

@@ -174,6 +174,19 @@ def test_exit_2_on_bad_structure_spec(capsys):
     assert code == 2 and "longvk:" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-1", "6"])
+def test_exit_2_on_scan_order_out_of_range(capsys, monkeypatch, order):
+    def fail(m):
+        raise AssertionError(f"enumerated order {m}")
+
+    monkeypatch.setattr(cli, "enumerate_biquandles", fail)
+    code, out, err = _run(
+        capsys, ["commute", "--code", "0", "--code", "O1+ U1+", "--scan-structures", order]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("longvk: --scan-structures") and len(err.splitlines()) == 1
+
+
 def test_exit_3_on_bad_budget(capsys):
     code, _, err = _run(
         capsys,

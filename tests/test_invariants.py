@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 
 import pytest
 
-from longvk.gauss import mirror, parse_gauss_code
+import longvk.invariants as invariants
+from longvk.gauss import canonicalize, mirror, parse_gauss_code
 from longvk.invariants import (
     FiniteBiquandle,
     InvalidStructure,
@@ -25,8 +27,9 @@ from longvk.invariants import (
     trivial_quandle,
 )
 from longvk.monoid import concat
+from longvk.moves import _descend, enumerate_moves
 from oracles import oracle_coloring_matrix, oracle_odd_writhe, oracle_transfer_matrix
-from strategies import narrow_diagram, random_diagram
+from strategies import mixed_diagram, narrow_diagram, random_diagram
 
 VT = parse_gauss_code("O1+ O2+ U1+ U2+")
 TREFOIL = parse_gauss_code("O1+ U2+ O3+ U1+ O2+ U3+")
@@ -248,6 +251,74 @@ def test_coloring_matrix_of_very_long_chain_is_fast(rng: random.Random):
         matrix = coloring_matrix(d, x)
         assert time.perf_counter() - started < 30.0
         assert len(matrix) == x.m
+
+
+def test_deep_poke_tower_descends_to_nothing():
+    """O a1..ak bk..b1 U a1..ak bk..b1 with alternating signs: 10,000
+    pokes, so a descent that rescans the line per removal is quadratic."""
+    k = 10_000
+    sign = {i: "+-"[i % 2] for i in range(1, k + 1)}
+    sign.update({2 * k + 1 - i: "-+"[i % 2] for i in range(1, k + 1)})  # b_i is 2k+1-i
+    order = [*range(1, k + 1), *range(k + 1, 2 * k + 1)]
+    d = parse_gauss_code(" ".join(f"{role}{i}{sign[i]}" for role in "OU" for i in order))
+    started = time.perf_counter()
+    assert _descend(d.endpoints, d.signs) == ((), ())
+    for x in (dihedral_quandle(3), WITNESS_STRUCTURE):
+        assert coloring_matrix(d, x) == mat_identity(x.m)
+    assert time.perf_counter() - started < 10.0
+
+
+def test_counter_agrees_on_undescended_move_neighbours(rng: random.Random):
+    """Descent gives a diagram and its kink or poke neighbours one cache
+    entry, so criterion 2 compares one matrix with itself there; the raw
+    count of each undescended canonical diagram must still agree."""
+    structures = [dihedral_quandle(3), dihedral_quandle(5)]
+    structures += (enumerate_biquandles(3) + enumerate_biquandles(4))[::5]
+    for i in range(60):  # criterion 2's inputs under dz3 and dz5, smaller ones under all
+        d = mixed_diagram(rng, 8 if i < 30 else 5)
+        family = [canonicalize(d)] + [child for _, child in enumerate_moves(d, cap=d.n + 1)]
+        for x in structures[: 2 if i < 30 else None]:
+            count = invariants._counter(x.m, x.up, x.down, x.kind)
+            for c in family:
+                assert count(c.endpoints, c.signs) == coloring_matrix(c, x), (x.name, c)
+
+
+def _orbit_maps(x: FiniteBiquandle) -> tuple:
+    count = invariants._counter(x.m, x.up, x.down, x.kind)
+    return count.args[2] if count.func is invariants._stack_count else None
+
+
+def test_counter_orbits_are_automorphism_orbits():
+    """Every map the counter uses commutes with S, and each color's
+    representative is the least color of its orbit under all m! maps."""
+    structures = enumerate_biquandles(3) + enumerate_biquandles(4)
+    structures += [trivial_quandle(4), dihedral_quandle(4), dihedral_quandle(6)]
+    orbit_counts: dict[int, int] = {}
+    for x in structures:
+        orbits = _orbit_maps(x)
+        if orbits is None:
+            continue  # linear over GF(p): counted in one pass
+        m = x.m
+        autos = [p for p in itertools.permutations(range(m))
+                 if all(x.s_map(p[u], p[o]) == tuple(p[v] for v in x.s_map(u, o))
+                        for u in range(m) for o in range(m))]
+        for a, (r, p) in enumerate(orbits):
+            assert p in autos and p[r] == a, (x.name, a)
+            assert r == min(q.index(a) for q in autos), (x.name, a)
+        if m == 4 and x.name.startswith("biq:"):
+            reps = len({r for r, _ in orbits})
+            orbit_counts[reps] = orbit_counts.get(reps, 0) + 1
+    assert orbit_counts == {1: 19, 2: 57, 3: 22}
+
+
+def test_counter_prepares_large_symmetric_structures_fast():
+    """A depth-first search for each needed map, not a walk over all 12!."""
+    for x in (trivial_quandle(12), dihedral_quandle(12)):
+        started = time.perf_counter()
+        invariants._counter.__wrapped__(x.m, x.up, x.down, x.kind)
+        assert time.perf_counter() - started < 1.0, x.name
+        assert len({r for r, _ in _orbit_maps(x)}) == 1
+        assert coloring_matrix(INTERLEAVED, x) == oracle_transfer_matrix(INTERLEAVED, x)
 
 
 def test_matrix_product_law(rng: random.Random):

@@ -28,7 +28,12 @@ from longvk.moves import (
     slide_sites,
 )
 from longvk.surface import RibbonGraph, build_band_surface
-from oracles import oracle_enumerate_moves, oracle_slide_patterns, oracle_slide_sites
+from oracles import (
+    oracle_descend,
+    oracle_enumerate_moves,
+    oracle_slide_patterns,
+    oracle_slide_sites,
+)
 from strategies import mixed_diagram, random_diagram
 
 VT = parse_gauss_code("O1+ O2+ U1+ U2+")
@@ -313,6 +318,33 @@ def test_derived_diagrams_pass_validation(rng: random.Random):
             assert OpenGaussDiagram(endpoints=x.endpoints, signs=x.signs) == x
         rg = build_band_surface(scattered)
         assert RibbonGraph(rg.rotations, rg.over_in, rg.under_in, rg.start_dart) == rg
+
+
+def _with_inserts(rng: random.Random, d: OpenGaussDiagram, count: int) -> OpenGaussDiagram:
+    """d after ``count`` random kink or poke inserts, each listed legal."""
+    for _ in range(count):
+        inserts = [child for event, child in enumerate_moves(d, cap=d.n + 2)
+                   if event.kind in ("r1_insert", "r2_insert")]
+        d = rng.choice(inserts)
+    return d
+
+
+def test_descend_matches_greedy_oracle(rng: random.Random):
+    """The one-pass descent leaves what single removals leave, in a fixed
+    or a random order, and nothing removable; labels need not be canonical."""
+    for i in range(240):
+        d = mixed_diagram(rng, 8)
+        if i % 2:
+            d = _with_inserts(rng, d if d.n <= 5 else random_diagram(rng, 3), rng.randint(1, 3))
+        scattered = OpenGaussDiagram(
+            endpoints=tuple((5 * label + 2, role) for label, role in d.endpoints),
+            signs=tuple((5 * label + 2, sign) for label, sign in d.signs),
+        )
+        low = OpenGaussDiagram(*moves._descend(scattered.endpoints, scattered.signs))
+        assert low == canonicalize(low)
+        assert removable_kinks(low) == () and removable_pokes(low) == ()
+        want = oracle_descend(d, rng if i % 3 else None)
+        assert (low.endpoints, low.signs) == (want.endpoints, want.signs), serialize(d)
 
 
 def test_enumerate_cap_suppresses_growth():
