@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 OVER = "O"
 UNDER = "U"
@@ -70,6 +71,11 @@ class OpenGaussDiagram:
     each label to its crossing sign, stored as label-sorted pairs so the
     whole object stays hashable.  Labels may be arbitrary positive
     integers; :func:`canonicalize` renames them 1..n by first appearance.
+
+    Label lookups go through ``_chords``, a table label -> (over position,
+    under position, sign) in label order, built in one pass on first read.
+    It is cached in the instance ``__dict__``, so it also serves diagrams
+    built by ``_unchecked``, and it takes no part in ``==`` or ``hash``.
     """
 
     endpoints: tuple[tuple[int, str], ...]
@@ -105,24 +111,25 @@ class OpenGaussDiagram:
     def labels(self) -> tuple[int, ...]:
         return tuple(label for label, _ in self.signs)
 
+    @cached_property
+    def _chords(self) -> dict[int, tuple[int, int, int]]:
+        over, under = {}, {}
+        for pos, (label, role) in enumerate(self.endpoints, start=1):
+            (over if role == OVER else under)[label] = pos
+        return {label: (over[label], under[label], sign) for label, sign in self.signs}
+
+    def _chord(self, label: int) -> tuple[int, int, int]:
+        chord = self._chords.get(label)
+        if chord is None:
+            raise UnknownLabel(f"label {label} not in diagram")
+        return chord
+
     def sign(self, label: int) -> int:
-        for lab, sign in self.signs:
-            if lab == label:
-                return sign
-        raise UnknownLabel(f"label {label} not in diagram")
+        return self._chord(label)[2]
 
     def positions(self, label: int) -> tuple[int, int]:
         """1-based ``(over_position, under_position)`` of a chord."""
-        over = under = 0
-        for pos, (lab, role) in enumerate(self.endpoints, start=1):
-            if lab == label:
-                if role == OVER:
-                    over = pos
-                else:
-                    under = pos
-        if not over or not under:
-            raise UnknownLabel(f"label {label} not in diagram")
-        return over, under
+        return self._chord(label)[:2]
 
     def endpoint(self, position: int) -> tuple[int, str]:
         """``(label, role)`` at a 1-based position."""
@@ -237,9 +244,5 @@ def linked(d: OpenGaussDiagram, a: int, b: int) -> bool:
     ``a``.  Symmetric in ``a`` and ``b``; a chord is never linked with
     itself.
     """
-    if a == b:
-        d.positions(a)  # raises UnknownLabel if absent
-        return False
-    a_lo, a_hi = sorted(d.positions(a))
-    inside = sum(1 for p in d.positions(b) if a_lo < p < a_hi)
-    return inside == 1
+    a_lo, a_hi = sorted(d.positions(a))  # raises UnknownLabel if absent
+    return a != b and sum(a_lo < p < a_hi for p in d.positions(b)) == 1

@@ -52,21 +52,14 @@ class InvalidStructure(ValueError):
 
 
 def odd_writhe(d: OpenGaussDiagram) -> int:
-    """Sum of signs of chords with an odd interleaving count."""
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for pos, (label, _) in enumerate(d.endpoints, start=1):
-        (second if label in first else first)[label] = pos
-    total = 0
-    for a, sign in d.signs:
-        fa, sa = first[a], second[a]
-        count = 0
-        for b in first:
-            if b != a and (fa < first[b] < sa) != (fa < second[b] < sa):
-                count += 1
-        if count % 2 == 1:
-            total += sign
-    return total
+    """Sum of signs of chords with an odd interleaving count.
+
+    The endpoints strictly inside a chord are two for each chord nested in
+    it and one for each chord interleaving it.  So a chord interleaves an
+    odd number of others exactly when its own endpoints are an even
+    distance apart, and one pass over the chord table decides every chord.
+    """
+    return sum(sign for over, under, sign in d._chords.values() if (over - under) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def _apply_r1_insert(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
 
 
 def _apply_r1_remove(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
-    if m.label not in d.labels():
+    if m.label not in d._chords:
         raise IllegalMove(f"no chord labelled {m.label!r}")
     p, q = d.positions(m.label)
     if abs(p - q) != 1:
@@ -273,8 +273,7 @@ def _r2_block_starts(d: OpenGaussDiagram, a: int, b: int) -> tuple[int, int] | N
 
 def _apply_r2_remove(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     a, b = m.label, m.label2
-    labels = d.labels()
-    if a not in labels or b not in labels or a == b:
+    if a not in d._chords or b not in d._chords or a == b:
         raise IllegalMove(f"poke removal needs two distinct chords, got {a!r}, {b!r}")
     if d.sign(a) + d.sign(b) != 0:
         raise IllegalMove(f"chords {a} and {b} do not have opposite signs")
@@ -301,12 +300,12 @@ def removable_pokes(d: OpenGaussDiagram) -> tuple[tuple[int, int], ...]:
 
 
 def _removable_pokes(d: OpenGaussDiagram, blocks: dict) -> tuple[tuple[int, int], ...]:
-    ends, sign_of = d.endpoints, dict(d.signs)
+    ends, chords = d.endpoints, d._chords
     out = []
     for pair, starts in blocks.items():
         a, b = sorted(pair)
         roles = {ends[p - 1][1] + ends[p][1] for p in starts}  # an OO and a UU block
-        if sign_of[a] + sign_of[b] == 0 and {OVER * 2, UNDER * 2} <= roles:
+        if chords[a][2] + chords[b][2] == 0 and {OVER * 2, UNDER * 2} <= roles:
             out.append((a, b))
     return tuple(sorted(out))
 
@@ -565,10 +564,8 @@ def inverse_event(d_before: OpenGaussDiagram, m: MoveEvent) -> MoveEvent:
         result = apply_move(c, m)
         return MoveEvent.r1_remove(result.endpoint(m.gap + 1)[0])
     if m.kind == "r1_remove":
-        p, q = c.positions(m.label)
-        lo = min(p, q)
-        order = "OU" if c.endpoint(lo)[1] == OVER else "UO"
-        return MoveEvent.r1_insert(lo - 1, c.sign(m.label), order)
+        over, under, sign = c._chord(m.label)
+        return MoveEvent.r1_insert(min(over, under) - 1, sign, "OU" if over < under else "UO")
     if m.kind == "r2_insert":
         result = apply_move(c, m)
         a = result.endpoint(m.gap + 1)[0]

@@ -34,6 +34,7 @@ Darts: band i owns darts 2i (tail, earlier on the line) and 2i+1
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from longvk.gauss import OVER, UNDER, OpenGaussDiagram, _unchecked, canonicalize
 
@@ -60,7 +61,8 @@ class RibbonGraph:
     over and under strands enter disc ``i + 1``; together with the
     rotation they carry the whole diagram, including crossing signs.
     ``start_dart`` is the attachment at V where the knot leaves towards
-    its first crossing.
+    its first crossing.  ``_vertex``, the dart -> vertex table, is built
+    on first read and cached like ``OpenGaussDiagram._chords``.
     """
 
     rotations: tuple[tuple[int, ...], ...]
@@ -103,11 +105,15 @@ class RibbonGraph:
     def discs(self) -> int:
         return len(self.rotations) - 1
 
+    @cached_property
+    def _vertex(self) -> dict[int, int]:
+        return {dart: index for index, rot in enumerate(self.rotations) for dart in rot}
+
     def vertex_of(self, dart: int) -> int:
-        for index, rot in enumerate(self.rotations):
-            if dart in rot:
-                return index
-        raise InvalidRibbonGraph(f"dart {dart} attaches nowhere")
+        vertex = self._vertex.get(dart)
+        if vertex is None:
+            raise InvalidRibbonGraph(f"dart {dart} attaches nowhere")
+        return vertex
 
     def disc_sign(self, disc: int) -> int:
         """Crossing sign encoded by the rotation, +1 or -1."""
@@ -119,16 +125,13 @@ class RibbonGraph:
 def build_band_surface(d: OpenGaussDiagram) -> RibbonGraph:
     """Assemble the band surface of a diagram (labels canonicalized)."""
     c = canonicalize(d)
-    n = c.n
-    sign_of = dict(c.signs)
-    rotations = [(4 * n + 1, 0)]
+    rotations = [(4 * c.n + 1, 0)]
     over_in = []
     under_in = []
-    for label in range(1, n + 1):
-        p, q = c.positions(label)
+    for p, q, sign in c._chords.values():  # labels 1..n in order
         o_in, o_out = 2 * p - 1, 2 * p
         u_in, u_out = 2 * q - 1, 2 * q
-        if sign_of[label] == 1:
+        if sign == 1:
             rotations.append((o_in, u_in, o_out, u_out))
         else:
             rotations.append((o_in, u_out, o_out, u_in))
@@ -179,19 +182,19 @@ def supporting_genus(d: OpenGaussDiagram) -> int:
 
 def natural_traversal(rg: RibbonGraph) -> tuple[int, ...]:
     """Band order along the knot, from V back to V."""
-    walk = []
+    walk, bands = [], rg.bands
     dart = rg.start_dart
     while True:
         walk.append(dart // 2)
         far = dart ^ 1
         vertex = rg.vertex_of(far)
         if vertex == 0:
-            if len(walk) != rg.bands:
+            if len(walk) != bands:
                 raise InvalidTraversal("walk returned to V before using every band")
             return tuple(walk)
         rot = rg.rotations[vertex]
         dart = rot[(rot.index(far) + 2) % 4]
-        if len(walk) > rg.bands:
+        if len(walk) > bands:
             raise InvalidTraversal("walk does not close up at V")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from longvk.gauss import OpenGaussDiagram, canonicalize
+from longvk.gauss import OpenGaussDiagram, canonicalize, parse_gauss_code
 from longvk.moves import MoveEvent, apply_move, enumerate_moves
 
 
@@ -23,6 +23,19 @@ def random_diagram(rng: random.Random, n: int) -> OpenGaussDiagram:
     return canonicalize(
         OpenGaussDiagram(endpoints=tuple(endpoints), signs=tuple(signs))
     )
+
+
+def prime_chain(rng: random.Random, n: int, signs: str = "+-") -> OpenGaussDiagram:
+    """``O1 O2 U1 O3 U2 ... On U(n-1) Un``, parsed: no interior cut point.
+
+    Each chord's sign is drawn from ``signs``.
+    """
+    sign = {i: rng.choice(signs) for i in range(1, n + 1)}
+    tokens = [f"O1{sign[1]}"]
+    for i in range(2, n + 1):
+        tokens += [f"O{i}{sign[i]}", f"U{i - 1}{sign[i - 1]}"]
+    tokens.append(f"U{n}{sign[n]}")
+    return parse_gauss_code(" ".join(tokens))
 
 
 def walked_diagram(
@@ -74,7 +87,6 @@ def planar_diagram(rng: random.Random, ops: int) -> OpenGaussDiagram:
     surface at genus 0, so the result is planar by construction.  Tests
     still verify that with the independent boundary oracle.
     """
-    from longvk.gauss import parse_gauss_code
     from longvk.monoid import concat
 
     current = canonicalize(OpenGaussDiagram(endpoints=(), signs=()))

@@ -14,6 +14,8 @@ from longvk.gauss import (
     RoleClash,
     SignClash,
     UnknownLabel,
+    _read_code,
+    _unchecked,
     canonicalize,
     linked,
     mirror,
@@ -38,6 +40,14 @@ def test_trivial_spellings():
         parse_gauss_code("  ")
 
 
+def _three_builds() -> list[OpenGaussDiagram]:
+    """``O7+ O3- U7+ U3-`` parsed with its scattered labels, and its
+    canonical form read back by ``_read_code`` and built by ``_unchecked``."""
+    canonical = (((1, "O"), (2, "O"), (1, "U"), (2, "U")), ((1, 1), (2, -1)))
+    return [parse_gauss_code("O7+ O3- U7+ U3-"), _read_code("O1+ O2- U1+ U2-"),
+            _unchecked(OpenGaussDiagram, *canonical)]
+
+
 def test_parse_positions_and_signs():
     d = parse_gauss_code(VT)
     assert d.n == 2
@@ -46,6 +56,20 @@ def test_parse_positions_and_signs():
     assert d.sign(1) == 1 and d.sign(2) == 1
     assert d.endpoint(1) == (1, "O")
     assert d.endpoint(3) == (1, "U")
+    scattered, read, unchecked = _three_builds()
+    assert scattered.positions(7) == (1, 3) and scattered.positions(3) == (2, 4)
+    assert scattered.sign(7) == 1 and scattered.sign(3) == -1
+    for c in (read, unchecked):
+        assert c.positions(1) == (1, 3) and c.positions(2) == (2, 4)
+        assert c.sign(1) == 1 and c.sign(2) == -1
+
+
+def test_chord_table_stays_out_of_equality_and_hash():
+    for used, fresh in zip(_three_builds(), _three_builds()):
+        used.positions(used.labels()[0])  # builds the cached table
+        assert "_chords" in vars(used) and "_chords" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert {used: 1}[fresh] == 1
 
 
 def test_serialize_round_trip_known():
@@ -97,11 +121,12 @@ def test_error_hierarchy():
 
 
 def test_accessor_unknown_label():
-    d = parse_gauss_code(VT)
-    with pytest.raises(UnknownLabel):
-        d.positions(9)
-    with pytest.raises(UnknownLabel):
-        d.sign(0)
+    for d in [parse_gauss_code(VT), *_three_builds()]:
+        for absent in (0, 9, 4):
+            with pytest.raises(UnknownLabel):
+                d.positions(absent)
+            with pytest.raises(UnknownLabel):
+                d.sign(absent)
 
 
 def test_canonicalize_relabels_by_first_appearance():

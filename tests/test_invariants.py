@@ -29,7 +29,7 @@ from longvk.invariants import (
 from longvk.monoid import concat
 from longvk.moves import _descend, enumerate_moves
 from oracles import oracle_coloring_matrix, oracle_odd_writhe, oracle_transfer_matrix
-from strategies import mixed_diagram, narrow_diagram, random_diagram
+from strategies import mixed_diagram, narrow_diagram, prime_chain, random_diagram
 
 VT = parse_gauss_code("O1+ O2+ U1+ U2+")
 TREFOIL = parse_gauss_code("O1+ U2+ O3+ U1+ O2+ U3+")
@@ -61,6 +61,10 @@ def test_odd_writhe_matches_oracle(rng: random.Random):
     for _ in range(250):
         d = random_diagram(rng, rng.randint(0, 8))
         assert odd_writhe(d) == oracle_odd_writhe(d)
+    for _ in range(150):  # scattered labels, nesting and products, to 30 chords
+        sizes = [rng.randint(1, 15) for _ in range(rng.randint(1, 2))]
+        d = narrow_diagram(rng, sizes, rng.randint(2, 6))
+        assert odd_writhe(d) == oracle_odd_writhe(d), d
 
 
 def test_odd_writhe_mirror_antisymmetric(rng: random.Random):
@@ -192,16 +196,6 @@ LONG_CHAIN_TABLES = (
 )
 
 
-def _prime_chain(rng: random.Random, n: int):
-    """``O1 O2 U1 O3 U2 ... On U(n-1) Un``: no interior cut point."""
-    sign = {i: rng.choice("+-") for i in range(1, n + 1)}
-    tokens = [f"O1{sign[1]}"]
-    for i in range(2, n + 1):
-        tokens += [f"O{i}{sign[i]}", f"U{i - 1}{sign[i - 1]}"]
-    tokens.append(f"U{n}{sign[n]}")
-    return parse_gauss_code(" ".join(tokens))
-
-
 def test_coloring_matrix_matches_transfer_oracle(rng: random.Random):
     structures = [dihedral_quandle(3), dihedral_quandle(5), dihedral_quandle(7),
                   trivial_quandle(2)]
@@ -237,14 +231,14 @@ def test_coloring_matrix_of_long_kink_chain(rng: random.Random):
 
 
 def test_coloring_matrix_of_long_prime_chain(rng: random.Random):
-    d = _prime_chain(rng, 600)
+    d = prime_chain(rng, 600)
     for up, down in LONG_CHAIN_TABLES:
         x = FiniteBiquandle(m=3, up=up, down=down)
         assert coloring_matrix(d, x) == oracle_transfer_matrix(d, x)
 
 
 def test_coloring_matrix_of_very_long_chain_is_fast(rng: random.Random):
-    d = _prime_chain(rng, 20_000)
+    d = prime_chain(rng, 20_000)
     up, down = LONG_CHAIN_TABLES[0]
     for x in (FiniteBiquandle(m=3, up=up, down=down), dihedral_quandle(5)):
         started = time.perf_counter()

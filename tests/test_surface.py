@@ -5,6 +5,8 @@ import random
 import pytest
 
 from longvk.gauss import canonicalize, mirror, parse_gauss_code, serialize
+from longvk.invariants import odd_writhe
+from longvk.monoid import cut_points
 from longvk.moves import MoveEvent, apply_move, slide_sites
 from longvk.surface import (
     InvalidRibbonGraph,
@@ -18,7 +20,7 @@ from longvk.surface import (
     supporting_genus,
 )
 from oracles import oracle_boundary_total
-from strategies import planar_diagram, random_diagram
+from strategies import planar_diagram, prime_chain, random_diagram
 
 # hand-traced reference values: (code, chi, boundary_total, genus)
 REFERENCE = [
@@ -161,3 +163,24 @@ def test_ribbon_graph_validation():
         start_dart=0,
     )
     assert good.bands == 3 and good.discs == 1 and good.disc_sign(1) == 1
+    assert [good.vertex_of(dart) for dart in range(6)] == [0, 1, 1, 1, 1, 0]
+    for absent in (6, -1):
+        with pytest.raises(InvalidRibbonGraph):
+            good.vertex_of(absent)
+
+
+def test_structural_layers_on_large_inputs(rng: random.Random):
+    """Genus, odd writhe, cut points and the surface round trip run in
+    time linear in the chords, so these sizes finish in seconds."""
+    for n in range(1, 12):  # the chain's genus, checked by the segment oracle
+        rg = build_band_surface(prime_chain(rng, n, "+"))
+        assert oracle_boundary_total(rg) == -euler_characteristic(rg) + 2 - 2 * (n // 2)
+    n = 100_000
+    chain = prime_chain(rng, n, "+")
+    assert supporting_genus(chain) == n // 2
+    assert odd_writhe(chain) == 2  # only the two end chords are odd
+    assert cut_points(chain) == (0, 2 * n)
+    d = random_diagram(rng, 20_000)
+    rg = build_band_surface(d)
+    assert gauss_from_surface(rg, natural_traversal(rg)) == canonicalize(d)
+    assert odd_writhe(mirror(d)) == -odd_writhe(d)
