@@ -189,9 +189,6 @@ class FiniteBiquandle:
                 return t
         return None
 
-    def is_valid(self) -> bool:
-        return not self.axiom_violations()
-
 
 def _exchange_instance(s, t0: int, m0: int, b0: int) -> bool | tuple[int, int]:
     """Third-move identity for one color triple of the crossing map ``s``.

@@ -14,11 +14,10 @@ Events are interpreted against the canonicalized diagram; since
 canonical relabelling never changes endpoint positions, a position
 recorded in an event stays meaningful after the rewrite.
 
-Slide moves are only legal for the 16 block-order/sign patterns listed
-in data/r3_patterns.txt, the configurations a triangle of strands can
-actually realize; the table is loaded once and validated on load.  A
-poke is legal in both pairings, and its two chords always get opposite
-signs.
+Slide moves are only legal for the 16 block-order/sign patterns a
+triangle of strands can actually realize; ``_slide_legal`` tells them
+apart by two sign products.  A poke is legal in both pairings, and its
+two chords always get opposite signs.
 
 ``apply_move`` checks every event it is given.  The listing works on a
 canonical diagram the package made itself and writes each insert's
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from importlib import resources
 from itertools import accumulate, product
 
 from longvk.gauss import (
@@ -140,55 +138,6 @@ class MoveEvent:
         if site is not None and not isinstance(site, (list, tuple)):
             raise ValueError(f"move site must be a list, got {site!r}")
         return cls(kind=kind, site=tuple(site) if site is not None else None, **kwargs)
-
-
-# =============================================================================
-# Legality tables
-# =============================================================================
-
-R3Key = tuple[str, str, str, int, int, int]
-
-_SIGN_OF = {"+": 1, "-": -1}
-_r3_table: frozenset[R3Key] | None = None
-
-
-def _flip_orders(key: R3Key) -> R3Key:
-    ot, om, ob, s1, s2, s3 = key
-    return (
-        "TB" if ot == "TM" else "TM",
-        "MB" if om == "TM" else "TM",
-        "MB" if ob == "TB" else "TB",
-        s1,
-        s2,
-        s3,
-    )
-
-
-def load_r3_patterns() -> frozenset[R3Key]:
-    """The 16 legal slide patterns, checked for shape and self-inverse closure."""
-    global _r3_table
-    if _r3_table is not None:
-        return _r3_table
-    keys = []
-    text = resources.files("longvk").joinpath("data/r3_patterns.txt").read_text()
-    for row in (line.split() for line in text.splitlines()):
-        if not row or row[0].startswith("#"):
-            continue
-        if len(row) != 6:
-            raise ValueError(f"r3_patterns: bad row {row}")
-        ot, om, ob = row[:3]
-        if ot not in ("TM", "TB") or om not in ("TM", "MB") or ob not in ("TB", "MB"):
-            raise ValueError(f"r3_patterns: bad order columns in {row}")
-        signs = tuple(_SIGN_OF[s] for s in row[3:])
-        keys.append((ot, om, ob) + signs)
-    table = frozenset(keys)
-    if len(keys) != 16 or len(table) != 16:
-        raise ValueError("r3_patterns: expected 16 distinct rows")
-    for key in table:
-        if _flip_orders(key) not in table:
-            raise ValueError(f"r3_patterns: {key} has no inverse-side row")
-    _r3_table = table
-    return table
 
 
 # =============================================================================
@@ -360,68 +309,63 @@ def _descend(endpoints: tuple, signs: tuple) -> tuple[tuple, tuple]:
 # =============================================================================
 
 
+R3Key = tuple[str, str, str, int, int, int]
+
+
 def classify_slide_site(
     d: OpenGaussDiagram, site: tuple[int, int, int]
 ) -> R3Key | None:
     """Read the block-order/sign pattern at a candidate slide site.
 
     Returns None when the six endpoints do not form three chords in the
-    required over/under block shapes; a returned key still needs to be
-    looked up in the legality table.
+    required over/under block shapes; a returned key still needs to pass
+    ``_slide_legal``.  The blocks are T (two over endpoints), B (two
+    under) and M (mixed); in a valid diagram they hold three chords
+    pairwise exactly when each two blocks share one label, and the
+    shared labels are the chords TM, TB and MB.
     """
     if len(site) != 3:
         return None
     p1, p2, p3 = site
     if not (1 <= p1 and p1 + 1 < p2 and p2 + 1 < p3 and p3 + 1 <= 2 * d.n):
         return None
-    blocks = [(p, p + 1) for p in (p1, p2, p3)]
-    block_eps = [(d.endpoint(lo), d.endpoint(hi)) for lo, hi in blocks]
-    counts: dict[int, int] = {}
-    for first, second in block_eps:
-        counts[first[0]] = counts.get(first[0], 0) + 1
-        counts[second[0]] = counts.get(second[0], 0) + 1
-    if len(counts) != 3 or set(counts.values()) != {2}:
+    blocks = {}
+    for p in site:
+        (a, role_a), (b, role_b) = d.endpoints[p - 1], d.endpoints[p]
+        blocks[role_a + role_b if role_a == role_b else "M"] = (a, b)
+    if len(blocks) != 3:
         return None
-    kind_of_block: dict[str, int] = {}
-    for index, (first, second) in enumerate(block_eps):
-        roles = (first[1], second[1])
-        if roles == (OVER, OVER):
-            kind = "T"
-        elif roles == (UNDER, UNDER):
-            kind = "B"
-        else:
-            kind = "M"
-        if kind in kind_of_block:
-            return None
-        kind_of_block[kind] = index
-    if set(kind_of_block) != {"T", "M", "B"}:
+    t, m, b = blocks[OVER * 2], blocks["M"], blocks[UNDER * 2]
+    tm, tb, mb = set(t) & set(m), set(t) & set(b), set(m) & set(b)
+    if not len(tm) == len(tb) == len(mb) == 1:
         return None
-    membership: dict[int, set[str]] = {label: set() for label in counts}
-    for kind, index in kind_of_block.items():
-        first, second = block_eps[index]
-        membership[first[0]].add(kind)
-        membership[second[0]].add(kind)
-    chord_of: dict[frozenset[str], int] = {}
-    for label, kinds in membership.items():
-        if len(kinds) != 2:
-            return None
-        chord_of[frozenset(kinds)] = label
-    c_tm = chord_of.get(frozenset(("T", "M")))
-    c_tb = chord_of.get(frozenset(("T", "B")))
-    c_mb = chord_of.get(frozenset(("M", "B")))
-    if c_tm is None or c_tb is None or c_mb is None:
-        return None
-    first_t = block_eps[kind_of_block["T"]][0][0]
-    first_m = block_eps[kind_of_block["M"]][0][0]
-    first_b = block_eps[kind_of_block["B"]][0][0]
+    (tm,), (tb,), (mb,) = tm, tb, mb
     return (
-        "TM" if first_t == c_tm else "TB",
-        "TM" if first_m == c_tm else "MB",
-        "TB" if first_b == c_tb else "MB",
-        d.sign(c_tm),
-        d.sign(c_tb),
-        d.sign(c_mb),
+        "TM" if t[0] == tm else "TB",
+        "TM" if m[0] == tm else "MB",
+        "TB" if b[0] == tb else "MB",
+        d.sign(tm),
+        d.sign(tb),
+        d.sign(mb),
     )
+
+
+def _slide_legal(key: R3Key) -> bool:
+    """Whether a triangle of strands realizes the slide pattern ``key``.
+
+    Let t, m, b be +1 when the TM chord comes first in block T, the TM
+    chord first in block M and the TB chord first in block B, else -1.
+    The pattern is legal iff sign(TM)·sign(TB) = m·b and
+    sign(TM)·sign(MB) = t·b: 16 of the 64 keys.  Flipping all three
+    orders keeps both products, so a slide is its own inverse at the
+    same site.  ``oracle_slide_patterns`` in the tests derives the same
+    16 keys from the geometry of three straight strands.
+    """
+    o_t, o_m, o_b, s_tm, s_tb, s_mb = key
+    t = 1 if o_t == "TM" else -1
+    m = 1 if o_m == "TM" else -1
+    b = 1 if o_b == "TB" else -1
+    return s_tm * s_tb == m * b and s_tm * s_mb == t * b
 
 
 def _apply_r3(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
@@ -430,7 +374,7 @@ def _apply_r3(d: OpenGaussDiagram, m: MoveEvent) -> tuple:
     key = classify_slide_site(d, m.site)
     if key is None:
         raise IllegalMove(f"positions {m.site} do not form a slide site")
-    if key not in load_r3_patterns():
+    if not _slide_legal(key):
         raise IllegalMove(f"slide pattern {key} is not realizable")
     endpoints = list(d.endpoints)
     for p in m.site:
@@ -443,7 +387,7 @@ def slide_sites(d: OpenGaussDiagram) -> tuple[tuple[int, int, int], ...]:
 
     A site's blocks hold its chords pairwise: {a, b}, {a, c}, {b, c}.  So
     each two-chord block is joined with the blocks sharing its chord a and
-    with a block on the remaining pair; the pattern table confirms each.
+    with a block on the remaining pair; ``_slide_legal`` confirms each.
     """
     return _slide_sites(d, _two_chord_blocks(d))
 
@@ -460,8 +404,8 @@ def _slide_sites(d: OpenGaussDiagram, blocks: dict) -> tuple[tuple[int, int, int
         if other != pair and pair ^ other in blocks
         for site in product(blocks[pair], blocks[other], blocks[pair ^ other])
     }
-    table = load_r3_patterns()
-    return tuple(site for site in sorted(candidates) if classify_slide_site(d, site) in table)
+    keys = ((site, classify_slide_site(d, site)) for site in sorted(candidates))
+    return tuple(site for site, key in keys if key is not None and _slide_legal(key))
 
 
 # =============================================================================

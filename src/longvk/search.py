@@ -21,7 +21,7 @@ breadth-first walker, so they read the budget the same way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from longvk.gauss import OpenGaussDiagram, _read_code, canonicalize, serialize
 from longvk.invariants import (
@@ -294,7 +294,8 @@ def commute_check(
                     "right": right,
                 },
             )
-    return equivalent_within(ab, ba, budget=budget, catalog=catalog)
+    verdict = equivalent_within(ab, ba, budget=budget, catalog=catalog)
+    return replace(verdict, wall_ms=(time.perf_counter() - start) * 1000.0)
 
 
 def prime_scan(d: OpenGaussDiagram, budget: Budget | None = None) -> dict:

@@ -4,17 +4,17 @@ Everything here recomputes a quantity the library also computes, by a
 different route: boundary circles via an explicit segment graph instead
 of dart orbits, coloring matrices by exhaustive assignment or by a
 transfer pass over the open chords instead of the library's engine,
-the slide-pattern table from explicit line
-geometry instead of the shipped asset, odd writhe by a direct double
-loop.  Agreement between the two routes is what the tests assert, so
-nothing in this module may import the corresponding library internals.
-The move-listing and descent oracles are the one exception: they try
-every position triple and every candidate event, or remove one kink or
-poke at a time, through the public ``classify_slide_site``,
-``removable_kinks``, ``removable_pokes`` and ``apply_move``, so what
-they check is that the library's listing finds every legal move and
-that its one-pass descent ends where single removals end, not the
-rewrite itself.
+the legal slide patterns from explicit line
+geometry instead of the library's sign rule, slide sites by counting
+labels per block instead of intersecting them, odd writhe by a direct
+double loop.  Agreement between the two routes is what the tests
+assert, so nothing in this module may import the corresponding library
+internals.  The move-listing and descent oracles are the one
+exception: they try every candidate event, or remove one kink or poke
+at a time, through the public ``removable_kinks``, ``removable_pokes``
+and ``apply_move``, so what they check is that the library's listing
+finds every legal move and that its one-pass descent ends where single
+removals end, not the rewrite itself.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from longvk.moves import (
     IllegalMove,
     MoveEvent,
     apply_move,
-    classify_slide_site,
-    load_r3_patterns,
     removable_kinks,
     removable_pokes,
 )
@@ -261,16 +259,69 @@ def oracle_cut_points(d: OpenGaussDiagram) -> tuple[int, ...]:
 # ----------------------------------------------------------------------------
 
 
+def oracle_classify_slide_site(
+    d: OpenGaussDiagram, site: tuple[int, int, int]
+) -> tuple[str, str, str, int, int, int] | None:
+    """Block-order/sign pattern at a site, as ``classify_slide_site``
+    reads it, found by counting labels and naming chords by the kinds
+    of the blocks they meet."""
+    if len(site) != 3:
+        return None
+    p1, p2, p3 = site
+    if not (1 <= p1 and p1 + 1 < p2 and p2 + 1 < p3 and p3 + 1 <= 2 * d.n):
+        return None
+    block_eps = [(d.endpoint(p), d.endpoint(p + 1)) for p in (p1, p2, p3)]
+    counts: dict[int, int] = {}
+    for first, second in block_eps:
+        counts[first[0]] = counts.get(first[0], 0) + 1
+        counts[second[0]] = counts.get(second[0], 0) + 1
+    if len(counts) != 3 or set(counts.values()) != {2}:
+        return None
+    kind_of_block: dict[str, int] = {}
+    for index, (first, second) in enumerate(block_eps):
+        roles = (first[1], second[1])
+        kind = {("O", "O"): "T", ("U", "U"): "B"}.get(roles, "M")
+        if kind in kind_of_block:
+            return None
+        kind_of_block[kind] = index
+    membership: dict[int, set[str]] = {label: set() for label in counts}
+    for kind, index in kind_of_block.items():
+        first, second = block_eps[index]
+        membership[first[0]].add(kind)
+        membership[second[0]].add(kind)
+    chord_of: dict[frozenset[str], int] = {}
+    for label, kinds in membership.items():
+        if len(kinds) != 2:
+            return None
+        chord_of[frozenset(kinds)] = label
+    c_tm = chord_of.get(frozenset(("T", "M")))
+    c_tb = chord_of.get(frozenset(("T", "B")))
+    c_mb = chord_of.get(frozenset(("M", "B")))
+    if c_tm is None or c_tb is None or c_mb is None:
+        return None
+    first_t = block_eps[kind_of_block["T"]][0][0]
+    first_m = block_eps[kind_of_block["M"]][0][0]
+    first_b = block_eps[kind_of_block["B"]][0][0]
+    return (
+        "TM" if first_t == c_tm else "TB",
+        "TM" if first_m == c_tm else "MB",
+        "TB" if first_b == c_tb else "MB",
+        d.sign(c_tm),
+        d.sign(c_tb),
+        d.sign(c_mb),
+    )
+
+
 def oracle_slide_sites(d: OpenGaussDiagram) -> tuple[tuple[int, int, int], ...]:
-    """Classify every ascending triple of block starts; keep the legal ones."""
+    """Classify every ascending triple of block starts; keep the ones the
+    geometric model realizes."""
     c = canonicalize(d)
-    table = load_r3_patterns()
+    patterns = oracle_slide_patterns()
     out = []
     for p1 in range(1, 2 * c.n):
         for p2 in range(p1 + 2, 2 * c.n):
             for p3 in range(p2 + 2, 2 * c.n):
-                key = classify_slide_site(c, (p1, p2, p3))
-                if key is not None and key in table:
+                if oracle_classify_slide_site(c, (p1, p2, p3)) in patterns:
                     out.append((p1, p2, p3))
     return tuple(out)
 

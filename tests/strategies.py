@@ -3,9 +3,33 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from longvk.gauss import OpenGaussDiagram, canonicalize, parse_gauss_code
 from longvk.moves import MoveEvent, apply_move, enumerate_moves
+
+
+def every_diagram(n: int):
+    """Every canonical diagram with exactly n chords: a pairing of the 2n
+    positions, which end of each chord is over, and the signs."""
+
+    def pairings(free: list[int]):
+        if not free:
+            yield []
+            return
+        for b in free[1:]:
+            rest = [p for p in free[1:] if p != b]
+            for tail in pairings(rest):
+                yield [(free[0], b), *tail]
+
+    for pairs in pairings(list(range(2 * n))):  # chord k starts k-th: canonical
+        for roles, signs in product(product(("OU", "UO"), repeat=n),
+                                    product((1, -1), repeat=n)):
+            endpoints: list[tuple[int, str]] = [(0, "")] * (2 * n)
+            for label, ((p, q), (first, second)) in enumerate(zip(pairs, roles), start=1):
+                endpoints[p], endpoints[q] = (label, first), (label, second)
+            yield OpenGaussDiagram(endpoints=tuple(endpoints),
+                                   signs=tuple(zip(range(1, n + 1), signs)))
 
 
 def random_diagram(rng: random.Random, n: int) -> OpenGaussDiagram:

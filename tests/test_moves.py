@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -22,21 +23,22 @@ from longvk.moves import (
     classify_slide_site,
     enumerate_moves,
     inverse_event,
-    load_r3_patterns,
     removable_kinks,
     removable_pokes,
     slide_sites,
 )
 from longvk.surface import RibbonGraph, build_band_surface
 from oracles import (
+    oracle_classify_slide_site,
     oracle_descend,
     oracle_enumerate_moves,
     oracle_slide_patterns,
     oracle_slide_sites,
 )
-from strategies import mixed_diagram, random_diagram
+from strategies import every_diagram, mixed_diagram, random_diagram
 
 VT = parse_gauss_code("O1+ O2+ U1+ U2+")
+SLIDE_KEYS = list(product(("TM", "TB"), ("TM", "MB"), ("TB", "MB"), (1, -1), (1, -1), (1, -1)))
 
 
 def _diagram_for_entry(entry: tuple) -> OpenGaussDiagram:
@@ -172,10 +174,12 @@ def test_removable_pokes_listing():
 
 
 def test_pattern_tables_load_and_validate():
-    r3 = load_r3_patterns()
-    assert len(r3) == 16
-    for key in r3:
-        assert moves._flip_orders(key) in r3
+    legal = [key for key in SLIDE_KEYS if moves._slide_legal(key)]
+    assert len(legal) == 16
+    for o_t, o_m, o_b, *signs in legal:  # flipping all three orders keeps legality
+        flipped = ("TB" if o_t == "TM" else "TM", "MB" if o_m == "TM" else "TM",
+                   "MB" if o_b == "TB" else "TB", *signs)
+        assert moves._slide_legal(flipped)
     for pairing in ("parallel", "crossed"):  # all four pokes are legal
         for sign in (1, -1):
             poke = apply_move(parse_gauss_code(""), MoveEvent.r2_insert(0, 0, "O", pairing, sign))
@@ -185,7 +189,18 @@ def test_pattern_tables_load_and_validate():
 
 
 def test_slide_table_equals_geometric_model():
-    assert load_r3_patterns() == oracle_slide_patterns()
+    assert {key for key in SLIDE_KEYS if moves._slide_legal(key)} == oracle_slide_patterns()
+
+
+def test_slide_classifier_matches_counting_oracle(rng: random.Random):
+    """Every ascending position triple, the out-of-range ends included, of
+    every diagram with at most 3 chords and of 200 random larger ones."""
+    diagrams = [d for n in range(4) for d in every_diagram(n)]
+    diagrams += [random_diagram(rng, rng.randint(5, 9)) for _ in range(200)]
+    for d in diagrams:
+        for site in combinations(range(2 * d.n + 1), 3):
+            assert classify_slide_site(d, site) == oracle_classify_slide_site(d, site), (
+                serialize(d), site)
 
 
 def test_slide_known_example():
@@ -207,7 +222,7 @@ def test_slide_rejects_bad_sites():
 
 
 def test_every_table_entry_is_applicable():
-    for entry in sorted(load_r3_patterns()):
+    for entry in sorted(oracle_slide_patterns()):
         d = _diagram_for_entry(entry)
         key = classify_slide_site(d, (1, 3, 5))
         assert key == (entry[0], entry[1], entry[2], entry[3], entry[4], entry[5])
@@ -217,13 +232,14 @@ def test_every_table_entry_is_applicable():
 
 
 def test_deleting_any_entry_breaks_its_slides(monkeypatch):
-    """Each row does real work: without it, its slide is not enumerable
-    and the endpoints stay disconnected in a short forward search."""
-    full = load_r3_patterns()
-    for entry in sorted(full):
+    """Each legal pattern does real work: without it, its slide is not
+    enumerable and the endpoints stay disconnected in a short forward
+    search."""
+    legal = moves._slide_legal
+    for entry in sorted(oracle_slide_patterns()):
         d = _diagram_for_entry(entry)
         target = serialize(apply_move(d, MoveEvent.r3((1, 3, 5))))
-        monkeypatch.setattr(moves, "_r3_table", frozenset(full - {entry}))
+        monkeypatch.setattr(moves, "_slide_legal", lambda key, e=entry: key != e and legal(key))
         with pytest.raises(IllegalMove):
             apply_move(d, MoveEvent.r3((1, 3, 5)))
         frontier = {serialize(canonicalize(d))}
@@ -238,7 +254,6 @@ def test_deleting_any_entry_breaks_its_slides(monkeypatch):
                         nxt.add(c)
             frontier = nxt
         assert target not in seen
-        monkeypatch.setattr(moves, "_r3_table", full)
 
 
 # -----------------------------------------------------------------------------
@@ -262,7 +277,7 @@ def test_enumerate_is_sorted_deduplicated_and_capped(rng: random.Random):
 def _with_triangle(rng: random.Random, d: OpenGaussDiagram) -> OpenGaussDiagram:
     """d with the three blocks of a random legal slide pattern inserted,
     in random block order, at three random gaps."""
-    entry = rng.choice(sorted(load_r3_patterns()))
+    entry = rng.choice(sorted(oracle_slide_patterns()))
     triangle = _diagram_for_entry(entry)
     n = d.n
     blocks = [tuple((label + n, role) for label, role in triangle.endpoints[i:i + 2])

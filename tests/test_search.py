@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
+import longvk.search as search
 from longvk.corpus import full_corpus, virtual_corpus
 from longvk.gauss import _read_code, canonicalize, parse_gauss_code, serialize
 from longvk.invariants import dihedral_quandle
@@ -199,6 +201,20 @@ def test_commute_check_trivial_factor_commutes():
     assert v.verdict == EQUIVALENT and v.path == ()
     v = commute_check(VT, VT)
     assert v.verdict == EQUIVALENT
+
+
+def test_commute_check_times_the_witness_phase(monkeypatch):
+    """Without a witness the verdict's wall time still counts the
+    commutator checks, not just the equivalence search after them."""
+
+    def slow_witness(a, b, x):
+        time.sleep(0.05)
+        return None
+
+    monkeypatch.setattr(search, "commutator_witness", slow_witness)
+    v = commute_check(VT, VT, catalog=[dihedral_quandle(3), WITNESS_STRUCTURE])
+    assert v.verdict == EQUIVALENT
+    assert v.wall_ms >= 100.0
 
 
 def test_commute_check_classical_factor_never_yields_witness():
