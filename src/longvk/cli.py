@@ -28,6 +28,7 @@ from longvk.gauss import (
     serialize,
 )
 from longvk.invariants import (
+    SCAN_MAX,
     FiniteBiquandle,
     coloring_matrix,
     default_catalog,
@@ -52,7 +53,6 @@ from longvk.surface import (
 )
 
 OK, INPUT_ERROR, BUDGET_ERROR, INTERNAL_ERROR = 0, 2, 3, 4
-SCAN_MAX = 5  # enumerating order 5 takes over a minute, order 6 hours
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -72,7 +72,7 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_structure_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--structure", action="append", default=[], metavar="SPEC",
-                     help="dihedral:M, trivial:M or file:PATH; repeatable")
+                     help="dihedral:M, trivial:M, biq:M:NNN or file:PATH; repeatable")
 
 
 def _gather_codes(args: argparse.Namespace) -> list[str]:
@@ -214,38 +214,17 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return OK
 
 
-def _two_codes(args: argparse.Namespace, command: str) -> list[str] | None:
+def _cmd_pair(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     codes = _gather_codes(args)
     if len(codes) != 2:
-        print(f"{command}: need exactly two codes", file=sys.stderr)
-        return None
-    return codes
-
-
-def _cmd_equiv(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _two_codes(args, "equiv")
-    if codes is None:
+        print(f"{args.command}: need exactly two codes", file=sys.stderr)
         return INPUT_ERROR
     d1, d2 = (canonicalize(parse_gauss_code(c)) for c in codes)
-    budget = _resolve_budget(args, max(d1.n, d2.n))
-    verdict = equivalent_within(d1, d2, budget=budget, catalog=_resolve_catalog(args))
+    budget = _resolve_budget(args, args.size((d1.n, d2.n)))
+    verdict = args.check(d1, d2, budget=budget, catalog=_resolve_catalog(args))
     out = verdict.to_json_dict()
-    _emit(_report("equiv", codes, [out], started, budget), args.json,
-          [json.dumps(out, sort_keys=True)])
-    return OK
-
-
-def _cmd_commute(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _two_codes(args, "commute")
-    if codes is None:
-        return INPUT_ERROR
-    d1, d2 = (canonicalize(parse_gauss_code(c)) for c in codes)
-    budget = _resolve_budget(args, d1.n + d2.n)
-    verdict = commute_check(d1, d2, budget=budget, catalog=_resolve_catalog(args))
-    out = verdict.to_json_dict()
-    _emit(_report("commute", codes, [out], started, budget), args.json,
+    _emit(_report(args.command, codes, [out], started, budget), args.json,
           [json.dumps(out, sort_keys=True)])
     return OK
 
@@ -292,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_budget_flags(p)
     _add_structure_flag(p)
-    p.set_defaults(func=_cmd_equiv)
+    p.set_defaults(func=_cmd_pair, check=equivalent_within, size=max)
 
     p = sub.add_parser("commute", help="compare the two concatenation orders")
     _add_input_flags(p)
@@ -300,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_structure_flag(p)
     p.add_argument("--scan-structures", type=int, default=None, metavar="M",
                    help=f"also scan all biquandles up to size M (1..{SCAN_MAX}) for witnesses")
-    p.set_defaults(func=_cmd_commute)
+    p.set_defaults(func=_cmd_pair, check=commute_check, size=sum)
 
     p = sub.add_parser("prime-scan", help="look for decomposable diagrams in the orbit")
     _add_input_flags(p)

@@ -40,6 +40,8 @@ from longvk.monoid import _canonical_cuts, _piece
 from longvk.moves import _descend
 
 ColoringMatrix = tuple[tuple[int, ...], ...]
+SCAN_MAX = 5  # enumerating order 5 takes over a minute, order 6 hours
+_SPEC_MAX = 64
 
 
 class InvalidStructure(ValueError):
@@ -298,26 +300,38 @@ def structure_from_file(path: str) -> FiniteBiquandle:
 
 
 def structure_from_spec(spec: str) -> FiniteBiquandle:
-    """Resolve ``dihedral:M``, ``trivial:M`` or ``file:PATH``."""
+    """Resolve ``dihedral:M``, ``trivial:M``, ``biq:M:NNN`` or ``file:PATH``.
+
+    ``biq:M:NNN`` names a class of ``enumerate_biquandles(M)``, M up to
+    SCAN_MAX.  ``dihedral:M`` and ``trivial:M`` stop at M = _SPEC_MAX:
+    preparing a structure for counting grows as M**4, and trivial:80
+    already takes 1.5 s on one small diagram.
+    """
     head, sep, rest = spec.partition(":")
     if not sep:
         raise InvalidStructure(f"bad structure spec {spec!r}")
     if head == "dihedral":
-        return dihedral_quandle(_positive_int(rest, spec))
+        return dihedral_quandle(_bounded_int(rest, spec, _SPEC_MAX))
     if head == "trivial":
-        return trivial_quandle(_positive_int(rest, spec))
+        return trivial_quandle(_bounded_int(rest, spec, _SPEC_MAX))
+    if head == "biq":
+        classes = enumerate_biquandles(_bounded_int(rest.partition(":")[0], spec, SCAN_MAX))
+        for x in classes:
+            if x.name == spec:
+                return x
+        raise InvalidStructure(f"no {spec!r} among the {len(classes)} classes of that order")
     if head == "file":
         return structure_from_file(rest)
     raise InvalidStructure(f"unknown structure family {head!r}")
 
 
-def _positive_int(text: str, spec: str) -> int:
+def _bounded_int(text: str, spec: str, top: int) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise InvalidStructure(f"bad structure spec {spec!r}") from exc
-    if value < 1:
-        raise InvalidStructure(f"bad structure spec {spec!r}")
+    if not 1 <= value <= top:
+        raise InvalidStructure(f"size in structure spec {spec!r} must be in 1..{top}")
     return value
 
 

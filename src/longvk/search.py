@@ -14,6 +14,11 @@ ordering (canonical codes, sorted frontiers, sorted move listings)
 makes reruns reproducible, and Verdict.to_json_dict(stable=True) drops
 the wall-clock field so equal runs serialize byte-identically.
 
+Witnesses come from one ordered list of invariant stages: odd writhe,
+then each catalog structure's coloring matrix.  Odd writhe is additive
+under concatenation, so commute_check skips it; coloring matrices are
+multiplicative, so it compares their commutators on the two factors.
+
 All orbit walks here (equivalence, orbit genus, prime scan) run on one
 breadth-first walker, so they read the budget the same way.
 """
@@ -21,7 +26,7 @@ breadth-first walker, so they read the budget the same way.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from longvk.gauss import OpenGaussDiagram, _read_code, canonicalize, serialize
 from longvk.invariants import (
@@ -102,22 +107,22 @@ class Verdict:
         return out
 
 
-def _invariant_witness(
-    d1: OpenGaussDiagram, d2: OpenGaussDiagram, catalog: list[FiniteBiquandle]
-) -> dict | None:
-    j1, j2 = odd_writhe(d1), odd_writhe(d2)
-    if j1 != j2:
-        return {"invariant": "odd_writhe", "left": j1, "right": j2}
+def _stages(catalog: list[FiniteBiquandle]):
+    """(witness fields, value, structure) per stage; additive ones have no structure."""
+    yield {"invariant": "odd_writhe"}, odd_writhe, None
     for x in catalog:
-        m1 = coloring_matrix(d1, x)
-        m2 = coloring_matrix(d2, x)
-        if m1 != m2:
-            return {
-                "invariant": "coloring_matrix",
-                "structure": x.name,
-                "left": [list(row) for row in m1],
-                "right": [list(row) for row in m2],
-            }
+        yield ({"invariant": "coloring_matrix", "structure": x.name},
+               lambda d, x=x: coloring_matrix(d, x), x)
+
+
+def _value_witness(stages, c1: OpenGaussDiagram, c2: OpenGaussDiagram) -> dict | None:
+    """The first stage whose values on the two diagrams differ."""
+    for fields, value, x in stages:
+        v1, v2 = value(c1), value(c2)
+        if v1 != v2:
+            if x is not None:
+                v1, v2 = [list(row) for row in v1], [list(row) for row in v2]
+            return {**fields, "left": v1, "right": v2}
     return None
 
 
@@ -190,25 +195,14 @@ def _chain(seen: dict, code: str) -> list[tuple[str, MoveEvent]]:
     return steps
 
 
-def equivalent_within(
-    d1: OpenGaussDiagram,
-    d2: OpenGaussDiagram,
-    budget: Budget | None = None,
-    catalog: list[FiniteBiquandle] | None = None,
-) -> Verdict:
-    """Decide d1 ~ d2 within the budget.
-
-    Invariants are compared first; a mismatch settles the question
-    without any search.  Otherwise a bidirectional breadth-first search
-    runs over canonical codes, always expanding the smaller frontier,
-    and a meeting point yields a verified move path from d1 to d2.
-    """
+def _verdict(d1: OpenGaussDiagram, d2: OpenGaussDiagram, budget: Budget | None,
+             catalog: list[FiniteBiquandle] | None, witness) -> Verdict:
+    """Decide d1 ~ d2: equal canonical codes, then ``witness(stages, c1,
+    c2)`` on the canonical roots, then the walk, timed as one call."""
     start = time.perf_counter()
     c1, c2 = canonicalize(d1), canonicalize(d2)
     if budget is None:
         budget = default_budget(max(c1.n, c2.n))
-    if catalog is None:
-        catalog = default_catalog()
 
     def done(verdict: str, states: int, **kw) -> Verdict:
         wall = (time.perf_counter() - start) * 1000.0
@@ -218,9 +212,9 @@ def equivalent_within(
     fp1, fp2 = serialize(c1), serialize(c2)
     if fp1 == fp2:
         return done(EQUIVALENT, 1, path=())
-    witness = _invariant_witness(c1, c2, catalog)
-    if witness is not None:
-        return done(DISTINCT, 0, witness=witness)
+    found = witness(_stages(default_catalog() if catalog is None else catalog), c1, c2)
+    if found is not None:
+        return done(DISTINCT, 0, witness=found)
 
     walk = _OrbitWalk([c1, c2], budget)
     for side, parent, event, code in walk:
@@ -239,6 +233,22 @@ def equivalent_within(
             raise AssertionError("reconstructed path does not replay")
         return done(EQUIVALENT, len(walk.seen), path=path)
     return done(INCONCLUSIVE, len(walk.seen))
+
+
+def equivalent_within(
+    d1: OpenGaussDiagram,
+    d2: OpenGaussDiagram,
+    budget: Budget | None = None,
+    catalog: list[FiniteBiquandle] | None = None,
+) -> Verdict:
+    """Decide d1 ~ d2 within the budget.
+
+    Invariants are compared first; a mismatch settles the question
+    without any search.  Otherwise a bidirectional breadth-first search
+    runs over canonical codes, always expanding the smaller frontier,
+    and a meeting point yields a verified move path from d1 to d2.
+    """
+    return _verdict(d1, d2, budget, catalog, _value_witness)
 
 
 def min_genus_in_orbit(
@@ -271,31 +281,16 @@ def commute_check(
     non-commuting matrices settles the question immediately; otherwise
     the two products go to the equivalence search.
     """
-    start = time.perf_counter()
-    if catalog is None:
-        catalog = default_catalog()
-    ab, ba = concat(a, b), concat(b, a)
-    for x in catalog:
-        hit = commutator_witness(a, b, x)
-        if hit is not None:
-            i, j, left, right = hit
-            if budget is None:
-                budget = default_budget(max(ab.n, ba.n))
-            return Verdict(
-                verdict=DISTINCT,
-                budget=budget,
-                states_visited=0,
-                wall_ms=(time.perf_counter() - start) * 1000.0,
-                witness={
-                    "invariant": "coloring_matrix",
-                    "structure": x.name,
-                    "entry": [i, j],
-                    "left": left,
-                    "right": right,
-                },
-            )
-    verdict = equivalent_within(ab, ba, budget=budget, catalog=catalog)
-    return replace(verdict, wall_ms=(time.perf_counter() - start) * 1000.0)
+
+    def witness(stages, *products) -> dict | None:
+        for fields, _, x in stages:
+            hit = None if x is None else commutator_witness(a, b, x)
+            if hit is not None:
+                i, j, left, right = hit
+                return {**fields, "entry": [i, j], "left": left, "right": right}
+        return None
+
+    return _verdict(concat(a, b), concat(b, a), budget, catalog, witness)
 
 
 def prime_scan(d: OpenGaussDiagram, budget: Budget | None = None) -> dict:

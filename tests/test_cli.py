@@ -6,6 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import longvk.invariants as invariants
 from longvk import cli
 from longvk.cli import main
 
@@ -128,6 +129,15 @@ def test_commute_readme_example_finds_order_4_witness(capsys):
     assert (witness["entry"], witness["left"], witness["right"]) == ([0, 1], 4, 0)
 
 
+def test_commute_witness_structure_is_a_valid_spec(capsys):
+    """The structure a scan names rebuilds through --structure and gives
+    the same witness."""
+    argv = ["commute", "--code", "O1+ U2- U1+ O2-", "--code", "U1+ O2- O1+ U2-"]
+    scanned = _run_report(capsys, argv + ["--scan-structures", "4"])["outputs"][0]
+    named = _run_report(capsys, argv + ["--structure", scanned["witness"]["structure"]])
+    assert named["outputs"][0]["witness"] == scanned["witness"]
+
+
 def test_prime_scan_smoke(capsys):
     report = _run_report(
         capsys,
@@ -172,6 +182,20 @@ def test_exit_2_on_bad_structure_spec(capsys):
         capsys, ["invariants", "--code", "0", "--structure", "octonion:8"]
     )
     assert code == 2 and "longvk:" in err
+
+
+@pytest.mark.parametrize("spec", ["dihedral:65", "trivial:250", "trivial:10000000000",
+                                  "biq:6:000"])
+def test_exit_2_on_structure_size_past_the_ceiling(capsys, monkeypatch, spec):
+    """Sizes past the ceiling are refused before any table is built."""
+    def fail(m):
+        raise AssertionError(f"built a structure of size {m}")
+
+    for name in ("dihedral_quandle", "trivial_quandle", "enumerate_biquandles"):
+        monkeypatch.setattr(invariants, name, fail)
+    code, out, err = _run(capsys, ["invariants", "--code", "0", "--structure", spec])
+    assert code == 2 and out == ""
+    assert err.startswith("longvk: size in structure spec") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("order", ["0", "-1", "6"])

@@ -144,6 +144,23 @@ def test_structure_from_spec():
         structure_from_spec("whatever:3")
 
 
+def test_structure_from_spec_names_enumerated_classes(monkeypatch):
+    assert structure_from_spec("biq:4:052") == WITNESS_STRUCTURE
+    assert structure_from_spec("biq:1:000").m == 1
+    enumerate_all = invariants.enumerate_biquandles
+
+    def enumerate_small(m):
+        assert 1 <= m <= invariants.SCAN_MAX, f"enumerated order {m}"
+        return enumerate_all(m)
+
+    monkeypatch.setattr(invariants, "enumerate_biquandles", enumerate_small)
+    for spec in ("biq:0:000", "biq:6:000", "biq:4:999", "biq:4:-1", "biq:4:52", "biq:4",
+                 "biq:x:000", "dihedral:65", "trivial:10000000000"):
+        with pytest.raises(InvalidStructure):
+            structure_from_spec(spec)
+    assert structure_from_spec("dihedral:64").m == 64
+
+
 def test_catalogs():
     names = [x.name for x in default_catalog()]
     assert names == ["dihedral:3", "dihedral:5"]

@@ -10,7 +10,7 @@ import pytest
 import longvk.search as search
 from longvk.corpus import full_corpus, virtual_corpus
 from longvk.gauss import _read_code, canonicalize, parse_gauss_code, serialize
-from longvk.invariants import dihedral_quandle
+from longvk.invariants import commutator_witness, default_catalog, dihedral_quandle
 from longvk.monoid import concat
 from longvk.moves import apply_move
 from longvk.search import (
@@ -117,6 +117,33 @@ def test_distinct_by_coloring_matrix():
     assert v.witness["right"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+_FLAGSHIP = (virtual_corpus()["mixed_interleaved"], virtual_corpus()["mixed_interleaved_swap"])
+
+
+@pytest.mark.parametrize(
+    "verdict, blob",
+    [
+        (lambda: equivalent_within(VT, TRIVIAL),
+         '{"verdict": "distinct", "budget": {"max_crossings": 4, "max_states": 1000000, '
+         '"max_depth": 16}, "states_visited": 0, "witness": {"invariant": "odd_writhe", '
+         '"left": 2, "right": 0}}'),
+        (lambda: equivalent_within(TREFOIL, TRIVIAL),
+         '{"verdict": "distinct", "budget": {"max_crossings": 5, "max_states": 1000000, '
+         '"max_depth": 16}, "states_visited": 0, "witness": {"invariant": "coloring_matrix", '
+         '"structure": "dihedral:3", "left": [[3, 0, 0], [0, 3, 0], [0, 0, 3]], '
+         '"right": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}'),
+        (lambda: commute_check(*_FLAGSHIP, catalog=[dihedral_quandle(3), WITNESS_STRUCTURE]),
+         '{"verdict": "distinct", "budget": {"max_crossings": 6, "max_states": 1000000, '
+         '"max_depth": 16}, "states_visited": 0, "witness": {"invariant": "coloring_matrix", '
+         '"structure": "biq:4:052", "entry": [0, 1], "left": 4, "right": 0}}'),
+    ],
+    ids=["odd_writhe", "coloring_matrix", "commutator"],
+)
+def test_witness_shapes_are_pinned(verdict, blob):
+    """Whole witness verdicts, key order included, byte for byte."""
+    assert json.dumps(verdict().to_json_dict(stable=True)) == blob
+
+
 def test_inconclusive_when_budget_cannot_settle():
     v = equivalent_within(TREFOIL, TREFOIL_MIRROR, budget=Budget(6, 100, 0))
     assert v.verdict == INCONCLUSIVE
@@ -205,16 +232,49 @@ def test_commute_check_trivial_factor_commutes():
 
 def test_commute_check_times_the_witness_phase(monkeypatch):
     """Without a witness the verdict's wall time still counts the
-    commutator checks, not just the equivalence search after them."""
+    commutator checks, not just the equivalence search after them.  The
+    products differ as codes, so the witness phase runs."""
 
     def slow_witness(a, b, x):
         time.sleep(0.05)
         return None
 
     monkeypatch.setattr(search, "commutator_witness", slow_witness)
-    v = commute_check(VT, VT, catalog=[dihedral_quandle(3), WITNESS_STRUCTURE])
+    v = commute_check(VT, KINK, catalog=[dihedral_quandle(3), WITNESS_STRUCTURE])
     assert v.verdict == EQUIVALENT
     assert v.wall_ms >= 100.0
+
+
+def test_commute_check_never_evaluates_an_additive_stage(monkeypatch):
+    """Odd writhe adds under concatenation, so it cannot separate a#b
+    from b#a, and commute_check never computes it."""
+
+    def fail(d):
+        raise AssertionError("odd writhe evaluated")
+
+    monkeypatch.setattr(search, "odd_writhe", fail)
+    corpus = full_corpus()
+    v = commute_check(corpus["double_over"], corpus["interleaved_pair"],
+                      budget=Budget(6, 50, 2), catalog=[])
+    assert v.verdict == INCONCLUSIVE
+
+
+def test_products_without_a_commutator_witness_never_separate(rng: random.Random):
+    """No stage separates a#b from b#a when no coloring commutator does:
+    odd writhe adds, and matrices that commute give equal products."""
+    catalog = default_catalog() + [WITNESS_STRUCTURE]
+    diagrams = list(full_corpus().values())
+    diagrams += [mixed_diagram(rng, rng.randint(1, 4)) for _ in range(30)]
+    checked = 0
+    for a in diagrams:
+        for b in diagrams:
+            if any(commutator_witness(a, b, x) for x in catalog):
+                continue
+            v = equivalent_within(concat(a, b), concat(b, a), budget=Budget(0, 1, 0),
+                                  catalog=catalog)
+            assert v.verdict != DISTINCT, (serialize(a), serialize(b), v.witness)
+            checked += 1
+    assert 400 <= checked < len(diagrams) ** 2
 
 
 def test_commute_check_classical_factor_never_yields_witness():
