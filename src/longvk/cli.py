@@ -1,32 +1,30 @@
 """Command line front end.
 
-Subcommands mirror the library: parse, genus, concat, invariants,
-equiv, commute, prime-scan.  Diagrams come in through repeated --code
-flags or a --file with one code per line (blank lines and # comments
-skipped).  Exit status is 0 when the command ran, 2 on bad input, 3 on
-a bad budget and 4 on an internal error (one line on stderr, no
-traceback); search verdicts are reported in the output, not the exit
-status.
+Each subcommand (parse, genus, concat, invariants, equiv, commute,
+prime-scan) is one row of ``_COMMANDS``: help, how many codes it takes,
+flag groups, a work function and a plain-line formatter; ``_run`` runs
+every row.  Codes come from repeated --code flags or a --file with one
+code per line (blank lines and # comments skipped).  Exit status is 0
+when the command ran, 2 on bad input (a wrong number of codes included),
+3 on a bad budget and 4 on an internal error (one line on stderr, no
+traceback); search verdicts are in the output, not the exit status.
 
-With --json every subcommand wraps its results in a run report
-{command, inputs, outputs, budget, timings} that validates against
-data/report.schema.json.  The genus subcommand always prints one JSON
-object per input diagram, report or not.
+With --json each subcommand prints one run report {command, inputs,
+outputs, budget, timings} that validates against data/report.schema.json.
+Without it, parse and concat print canonical codes, invariants prints
+matrix lines, and the others print one JSON object per output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from collections import namedtuple
 
-from longvk.gauss import (
-    GaussCodeError,
-    canonicalize,
-    parse_gauss_code,
-    serialize,
-)
+from longvk.gauss import canonicalize, parse_gauss_code, serialize
 from longvk.invariants import (
     SCAN_MAX,
     FiniteBiquandle,
@@ -75,6 +73,11 @@ def _add_structure_flag(sub: argparse.ArgumentParser) -> None:
                      help="dihedral:M, trivial:M, biq:M:NNN or file:PATH; repeatable")
 
 
+def _add_scan_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--scan-structures", type=int, default=None, metavar="M",
+                     help=f"also scan all biquandles up to size M (1..{SCAN_MAX}) for witnesses")
+
+
 def _gather_codes(args: argparse.Namespace) -> list[str]:
     codes = list(args.code)
     if args.file:
@@ -96,7 +99,7 @@ def _resolve_budget(args: argparse.Namespace, n: int) -> Budget:
 
 
 def _resolve_catalog(args: argparse.Namespace) -> list[FiniteBiquandle]:
-    scan = getattr(args, "scan_structures", None)
+    scan = args.scan_structures
     if scan is not None and not 1 <= scan <= SCAN_MAX:
         raise ValueError(f"--scan-structures must be in 1..{SCAN_MAX}, got {scan}")
     catalog = [structure_from_spec(spec) for spec in args.structure]
@@ -108,138 +111,119 @@ def _resolve_catalog(args: argparse.Namespace) -> list[FiniteBiquandle]:
     return catalog
 
 
-def _report(command: str, inputs: list[str], outputs: list, started: float,
-            budget: Budget | None = None) -> dict:
+# Work functions: (args, codes, canonical diagrams) -> (outputs, budget or None)
+def _parse(args, codes, diagrams):
+    outputs = [
+        {"code": code, "canonical": serialize(d), "crossings": d.n}
+        for code, d in zip(codes, diagrams)
+    ]
+    return outputs, None
+
+
+def _genus(args, codes, diagrams):
+    outputs = []
+    for d in diagrams:
+        rg = build_band_surface(d)
+        total, distinguished = boundary_components(rg)
+        outputs.append({
+            "code": serialize(d),
+            "chi": euler_characteristic(rg),
+            "boundary_total": total,
+            "boundary_distinguished": distinguished,
+            "genus": supporting_genus(d),
+        })
+    return outputs, None
+
+
+def _concat(args, codes, diagrams):
+    product = functools.reduce(concat, diagrams)
+    return [{"canonical": serialize(product), "crossings": product.n}], None
+
+
+def _invariants(args, codes, diagrams):
+    catalog = _resolve_catalog(args)
+    outputs = []
+    for d in diagrams:
+        matrices = {x.name: [list(row) for row in coloring_matrix(d, x)] for x in catalog}
+        outputs.append({"code": serialize(d), "odd_writhe": odd_writhe(d), "matrices": matrices})
+    return outputs, None
+
+
+def _pair(check, size, args, codes, diagrams):
+    """``check`` is equivalent_within or commute_check; ``size`` (max or
+    sum) turns the two crossing counts into the default budget's size."""
+    budget = _resolve_budget(args, size(d.n for d in diagrams))
+    verdict = check(*diagrams, budget=budget, catalog=_resolve_catalog(args))
+    return [verdict.to_json_dict()], budget
+
+
+def _prime_scan(args, codes, diagrams):
+    budget = _resolve_budget(args, diagrams[0].n)
+    return [prime_scan(diagrams[0], budget=budget)], budget
+
+
+# Plain-line formatters: one output -> its lines
+def _canonical_line(output: dict) -> str:
+    return output["canonical"] or "0"
+
+
+def _invariant_lines(output: dict) -> str:
+    lines = [f"{output['code'] or '0'}  odd_writhe={output['odd_writhe']}"]
+    lines += [f"  {name}: {matrix}" for name, matrix in output["matrices"].items()]
+    return "\n".join(lines)
+
+
+_json_line = functools.partial(json.dumps, sort_keys=True)
+
+# codes: (fewest, most) input codes, most None for no limit; flags: the flag
+# groups added after the input flags; work and plain as above
+_Command = namedtuple("_Command", "help codes flags work plain")
+
+_COMMANDS = {
+    "parse": _Command("validate and canonicalize codes", (1, None), (),
+                      _parse, _canonical_line),
+    "genus": _Command("band-surface data, one JSON object per input", (1, None), (),
+                      _genus, _json_line),
+    "concat": _Command("concatenate codes left to right", (2, None), (),
+                       _concat, _canonical_line),
+    "invariants": _Command("odd writhe and coloring matrices", (1, None),
+                           (_add_structure_flag,),
+                           _invariants, _invariant_lines),
+    "equiv": _Command("budgeted equivalence search for two codes", (2, 2),
+                      (_add_budget_flags, _add_structure_flag),
+                      functools.partial(_pair, equivalent_within, max), _json_line),
+    "commute": _Command("compare the two concatenation orders", (2, 2),
+                        (_add_budget_flags, _add_structure_flag, _add_scan_flag),
+                        functools.partial(_pair, commute_check, sum), _json_line),
+    "prime-scan": _Command("look for decomposable diagrams in the orbit", (1, 1),
+                           (_add_budget_flags,),
+                           _prime_scan, _json_line),
+}
+
+
+def _run(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
+    command = _COMMANDS[args.command]
+    codes = _gather_codes(args)
+    fewest, most = command.codes
+    if not fewest <= len(codes) <= (most or len(codes)):
+        bound = f"exactly {fewest}" if most else f"at least {fewest}"
+        raise ValueError(f"{args.command} needs {bound} code(s), got {len(codes)}")
+    diagrams = [canonicalize(parse_gauss_code(code)) for code in codes]
+    outputs, budget = command.work(args, codes, diagrams)
+    if not args.json:
+        for output in outputs:
+            print(command.plain(output))
+        return OK
     report = {
-        "command": command,
-        "inputs": inputs,
+        "command": args.command,
+        "inputs": codes,
         "outputs": outputs,
         "timings": {"wall_ms": round((time.perf_counter() - started) * 1000.0, 3)},
     }
     if budget is not None:
         report["budget"] = budget.to_json_dict()
-    return report
-
-
-def _emit(report: dict, as_json: bool, plain_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in plain_lines:
-            print(line)
-
-
-def _cmd_parse(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _gather_codes(args)
-    if not codes:
-        print("parse: no input codes", file=sys.stderr)
-        return INPUT_ERROR
-    outputs = []
-    lines = []
-    for code in codes:
-        diagram = canonicalize(parse_gauss_code(code))
-        canonical = serialize(diagram)
-        outputs.append({"code": code, "canonical": canonical, "crossings": diagram.n})
-        lines.append(canonical if canonical else "0")
-    _emit(_report("parse", codes, outputs, started), args.json, lines)
-    return OK
-
-
-def _cmd_genus(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _gather_codes(args)
-    if not codes:
-        print("genus: no input codes", file=sys.stderr)
-        return INPUT_ERROR
-    outputs = []
-    for code in codes:
-        diagram = canonicalize(parse_gauss_code(code))
-        rg = build_band_surface(diagram)
-        total, distinguished = boundary_components(rg)
-        outputs.append({
-            "code": serialize(diagram),
-            "chi": euler_characteristic(rg),
-            "boundary_total": total,
-            "boundary_distinguished": distinguished,
-            "genus": supporting_genus(diagram),
-        })
-    if args.json:
-        print(json.dumps(_report("genus", codes, outputs, started), sort_keys=True))
-    else:
-        for obj in outputs:
-            print(json.dumps(obj, sort_keys=True))
-    return OK
-
-
-def _cmd_concat(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _gather_codes(args)
-    if len(codes) < 2:
-        print("concat: need at least two codes", file=sys.stderr)
-        return INPUT_ERROR
-    product = parse_gauss_code(codes[0])
-    for code in codes[1:]:
-        product = concat(product, parse_gauss_code(code))
-    canonical = serialize(product)
-    outputs = [{"canonical": canonical, "crossings": product.n}]
-    _emit(_report("concat", codes, outputs, started), args.json,
-          [canonical if canonical else "0"])
-    return OK
-
-
-def _cmd_invariants(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _gather_codes(args)
-    if not codes:
-        print("invariants: no input codes", file=sys.stderr)
-        return INPUT_ERROR
-    catalog = _resolve_catalog(args)
-    outputs = []
-    lines = []
-    for code in codes:
-        diagram = canonicalize(parse_gauss_code(code))
-        entry = {
-            "code": serialize(diagram),
-            "odd_writhe": odd_writhe(diagram),
-            "matrices": {},
-        }
-        lines.append(f"{serialize(diagram) or '0'}  odd_writhe={entry['odd_writhe']}")
-        for x in catalog:
-            matrix = coloring_matrix(diagram, x)
-            entry["matrices"][x.name] = [list(row) for row in matrix]
-            lines.append(f"  {x.name}: {[list(row) for row in matrix]}")
-        outputs.append(entry)
-    _emit(_report("invariants", codes, outputs, started), args.json, lines)
-    return OK
-
-
-def _cmd_pair(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _gather_codes(args)
-    if len(codes) != 2:
-        print(f"{args.command}: need exactly two codes", file=sys.stderr)
-        return INPUT_ERROR
-    d1, d2 = (canonicalize(parse_gauss_code(c)) for c in codes)
-    budget = _resolve_budget(args, args.size((d1.n, d2.n)))
-    verdict = args.check(d1, d2, budget=budget, catalog=_resolve_catalog(args))
-    out = verdict.to_json_dict()
-    _emit(_report(args.command, codes, [out], started, budget), args.json,
-          [json.dumps(out, sort_keys=True)])
-    return OK
-
-
-def _cmd_prime_scan(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    codes = _gather_codes(args)
-    if len(codes) != 1:
-        print("prime-scan: need exactly one code", file=sys.stderr)
-        return INPUT_ERROR
-    diagram = canonicalize(parse_gauss_code(codes[0]))
-    budget = _resolve_budget(args, diagram.n)
-    report = prime_scan(diagram, budget=budget)
-    _emit(_report("prime-scan", codes, [report], started, budget), args.json,
-          [json.dumps(report, sort_keys=True)])
+    print(_json_line(report))
     return OK
 
 
@@ -248,44 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="longvk",
         description="Gauss-code calculus for long virtual knots",
     )
+    parser.set_defaults(scan_structures=None)  # only commute adds --scan-structures
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="validate and canonicalize codes")
-    _add_input_flags(p)
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("genus", help="band-surface data, one JSON object per input")
-    _add_input_flags(p)
-    p.set_defaults(func=_cmd_genus)
-
-    p = sub.add_parser("concat", help="concatenate codes left to right")
-    _add_input_flags(p)
-    p.set_defaults(func=_cmd_concat)
-
-    p = sub.add_parser("invariants", help="odd writhe and coloring matrices")
-    _add_input_flags(p)
-    _add_structure_flag(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("equiv", help="budgeted equivalence search for two codes")
-    _add_input_flags(p)
-    _add_budget_flags(p)
-    _add_structure_flag(p)
-    p.set_defaults(func=_cmd_pair, check=equivalent_within, size=max)
-
-    p = sub.add_parser("commute", help="compare the two concatenation orders")
-    _add_input_flags(p)
-    _add_budget_flags(p)
-    _add_structure_flag(p)
-    p.add_argument("--scan-structures", type=int, default=None, metavar="M",
-                   help=f"also scan all biquandles up to size M (1..{SCAN_MAX}) for witnesses")
-    p.set_defaults(func=_cmd_pair, check=commute_check, size=sum)
-
-    p = sub.add_parser("prime-scan", help="look for decomposable diagrams in the orbit")
-    _add_input_flags(p)
-    _add_budget_flags(p)
-    p.set_defaults(func=_cmd_prime_scan)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        _add_input_flags(p)
+        for add_flags in command.flags:
+            add_flags(p)
     return parser
 
 
@@ -293,13 +246,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except _BudgetError as exc:
+        return _run(args)
+    except (ValueError, OSError) as exc:  # GaussCodeError and _BudgetError included
         print(f"longvk: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
-    except (GaussCodeError, ValueError, OSError) as exc:
-        print(f"longvk: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+        return BUDGET_ERROR if isinstance(exc, _BudgetError) else INPUT_ERROR
     except Exception as exc:
         print(f"longvk: internal error: {exc!r}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -303,7 +303,7 @@ def structure_from_spec(spec: str) -> FiniteBiquandle:
     """Resolve ``dihedral:M``, ``trivial:M``, ``biq:M:NNN`` or ``file:PATH``.
 
     ``biq:M:NNN`` names a class of ``enumerate_biquandles(M)``, M up to
-    SCAN_MAX.  ``dihedral:M`` and ``trivial:M`` stop at M = _SPEC_MAX:
+    SCAN_MAX.  ``dihedral:M``, ``trivial:M`` and files stop at M = _SPEC_MAX:
     preparing a structure for counting grows as M**4, and trivial:80
     already takes 1.5 s on one small diagram.
     """
@@ -321,7 +321,10 @@ def structure_from_spec(spec: str) -> FiniteBiquandle:
                 return x
         raise InvalidStructure(f"no {spec!r} among the {len(classes)} classes of that order")
     if head == "file":
-        return structure_from_file(rest)
+        x = structure_from_file(rest)
+        if x.m > _SPEC_MAX:
+            raise InvalidStructure(f"size in structure spec {spec!r} must be in 1..{_SPEC_MAX}")
+        return x
     raise InvalidStructure(f"unknown structure family {head!r}")
 
 
