@@ -40,7 +40,7 @@ from longvk.monoid import _canonical_cuts, _piece
 from longvk.moves import _descend
 
 ColoringMatrix = tuple[tuple[int, ...], ...]
-SCAN_MAX = 5  # enumerating order 5 takes over a minute, order 6 hours
+SCAN_MAX = 5  # enumerating order 5 takes 1-2 s, order 6 about 2 minutes
 _SPEC_MAX = 64
 
 
@@ -187,38 +187,42 @@ class FiniteBiquandle:
     def _exchange_witness(self) -> tuple | None:
         """First color triple failing the third-move identity, or None."""
         for t in itertools.product(range(self.m), repeat=3):
-            if _exchange_instance(self._s, *t) is False:
+            if _exchange_state(self._s, *t) is False:
                 return t
         return None
 
 
-def _exchange_instance(s, t0: int, m0: int, b0: int) -> bool | tuple[int, int]:
+def _exchange_state(s: list, t0: int, m0: int, b0: int):
     """Third-move identity for one color triple of the crossing map ``s``.
 
     Three strands cross pairwise, all crossings positive; sliding the
     middle strand across must not change the three outgoing colors.
-    Returns True or False, or the first cell (x, y) read while
-    ``s[x][y]`` is still None (the enumerator's unassigned cells).
+    Returns True or False once decided.  On a partial map, whose cells
+    still None are the enumerator's unassigned ones, it may instead
+    return (cell, value): the first unassigned cell that the left side
+    reads, or the right side once the left is complete, and the value
+    the identity forces there, or None when more than that cell is
+    missing.
     """
-    if (v := s[m0][t0]) is None:
-        return (m0, t0)
-    m1, t1 = v
-    if (v := s[b0][t1]) is None:
-        return (b0, t1)
-    b1, t2 = v
-    if (v := s[b1][m1]) is None:
-        return (b1, m1)
-    b2, m2 = v
-    if (v := s[b0][m0]) is None:
-        return (b0, m0)
-    b1a, m1a = v
-    if (v := s[b1a][t0]) is None:
-        return (b1a, t0)
-    b2a, t1a = v
-    if (v := s[m1a][t1a]) is None:
-        return (m1a, t1a)
-    m2a, t2a = v
-    return (t2, m2, b2) == (t2a, m2a, b2a)
+    # left: (m1, t1) = S(m0, t0), (b1, t2) = S(b0, t1), (b2, m2) = S(b1, m1)
+    l1 = s[m0][t0]
+    l2 = l1 and s[b0][l1[1]]
+    if not l2:
+        return ((b0, l1[1]) if l1 else (m0, t0)), None
+    l3 = s[l2[0]][l1[0]]
+    # right: (b1, m1) = S(b0, m0), (b2, t1) = S(b1, t0), (m2, t2) = S(m1, t1)
+    r1 = s[b0][m0]
+    r2 = r1 and s[r1[0]][t0]
+    r3 = r2 and s[r1[1]][r2[1]]
+    if l3:
+        if r3:
+            return (l2[1], l3[1], l3[0]) == (r3[1], r3[0], r2[0])
+        if r2:
+            return r2[0] == l3[0] and ((r1[1], r2[1]), (l3[1], l2[1]))
+        return ((r1[0], t0) if r1 else (b0, m0)), None
+    if r3:
+        return l2[1] == r3[1] and ((l2[0], l1[0]), (r2[0], r3[0]))
+    return (l2[0], l1[0]), None
 
 
 def check_axioms(x: FiniteBiquandle) -> bool | list[tuple[str, tuple]]:
@@ -321,10 +325,13 @@ def structure_from_spec(spec: str) -> FiniteBiquandle:
                 return x
         raise InvalidStructure(f"no {spec!r} among the {len(classes)} classes of that order")
     if head == "file":
-        x = structure_from_file(rest)
-        if x.m > _SPEC_MAX:
-            raise InvalidStructure(f"size in structure spec {spec!r} must be in 1..{_SPEC_MAX}")
-        return x
+        with open(rest, "r", encoding="utf-8") as handle:
+            header = next((line for line in handle
+                           if line.strip() and not line.strip().startswith("#")), "")
+            size = (header.split() or [""])[0]
+            if size.lstrip("+-").isdigit():  # refused before any row is read
+                _bounded_int(size, spec, _SPEC_MAX)
+            return structure_from_text(header + handle.read(), name=f"file:{rest}")
     raise InvalidStructure(f"unknown structure family {head!r}")
 
 
@@ -635,123 +642,16 @@ def commutator_witness(
 # ---------------------------------------------------------------------------
 
 
-def canonical_table_form(
-    up: tuple[tuple[int, ...], ...], down: tuple[tuple[int, ...], ...]
-) -> tuple:
-    """Lexicographically least relabeling of the table pair."""
-    m = len(up)
-    best = None
-    for perm in itertools.permutations(range(m)):
-        inv = [0] * m
-        for i, p in enumerate(perm):
-            inv[p] = i
-        key = (
-            tuple(tuple(perm[up[inv[x]][inv[y]]] for y in range(m)) for x in range(m)),
-            tuple(tuple(perm[down[inv[y]][inv[x]]] for x in range(m)) for y in range(m)),
-        )
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _kink_permutations(m: int, largest: int | None = None):
-    """One permutation of range(m) per cycle type, cycles on consecutive blocks."""
-    if m == 0:
-        yield []
-        return
-    for p in range(min(m, largest or m), 0, -1):
-        for rest in _kink_permutations(m - p, p):
-            yield [(i + 1) % p for i in range(p)] + [p + v for v in rest]
-
-
 def enumerate_biquandles(m: int) -> list[FiniteBiquandle]:
     """All biquandles on {0..m-1}, one canonical representative per class.
 
-    The kink cells, where S(x, y) == (y, x), form a permutation sigma with
-    y = sigma(x), and relabelling the colors by pi conjugates sigma to
-    pi sigma pi^-1.  Every class thus has a member whose sigma is the
-    chosen representative of its cycle type, so the search fixes sigma to
-    each representative in turn (5 at m = 4), preassigns those m cells and
-    forbids S(x, y) == (y, x) elsewhere.  It backtracks over the other
-    cells of S under column invertibility of both tables and invertibility
-    of S.  Each exchange instance waits on the first unassigned cell it
-    reads, and an assignment re-evaluates only the instances waiting on
-    that cell.  ``canonical_table_form`` merges the relabelled copies that
-    remain; the sorted forms are named ``biq:m:NNN``.  Results are cached
-    per process; m = 4 takes about 0.15 s, m = 5 about 75 s.
+    The search fixes the kink permutation to one representative per
+    cycle type and keeps the least table under its centralizer, so each
+    class is found once; the least relabelling over all m! maps gives its
+    ``biq:m:NNN`` name, in sorted order.  The enumerator lives in
+    ``longvk._enumerate``, imported on the first call.  Results are
+    cached per process; m = 4 takes about 0.03 s, m = 5 one to two seconds.
     """
-    return list(_enumerate(m))
+    from longvk._enumerate import classes
 
-
-@functools.lru_cache(maxsize=8)
-def _enumerate(m: int) -> tuple[FiniteBiquandle, ...]:
-    found: dict[tuple, None] = {}
-    for sigma in _kink_permutations(m):
-        s: list[list[tuple[int, int] | None]] = [[None] * m for _ in range(m)]
-        used: set[tuple[int, int]] = set()
-        col_first: list[set[int]] = [set() for _ in range(m)]  # per y, over x
-        col_second: list[set[int]] = [set() for _ in range(m)]  # per x, over y
-        for x, y in enumerate(sigma):
-            s[x][y] = (y, x)
-            used.add((y, x))
-            col_first[y].add(y)
-            col_second[x].add(x)
-        watch = {(x, y): [] for x in range(m) for y in range(m)}
-        # An instance that reads only kink cells ends at (b0, m0, t0) on
-        # both sides, so none fails yet; the rest wait on a free cell.
-        for t in itertools.product(range(m), repeat=3):
-            if (cell := _exchange_instance(s, *t)) is not True:
-                watch[cell].append(t)
-        cells = [(x, y) for x in range(m) for y in range(m) if y != sigma[x]]
-
-        def assign(idx: int) -> None:
-            if idx == len(cells):
-                up = tuple(tuple(s[x][y][0] for y in range(m)) for x in range(m))
-                down = tuple(tuple(s[x][y][1] for x in range(m)) for y in range(m))
-                found.setdefault(canonical_table_form(up, down))
-                return
-            x, y = cells[idx]
-            waiting, watch[x, y] = watch[x, y], []
-            for a in range(m):
-                if a in col_first[y]:
-                    continue
-                for b in range(m):
-                    if b in col_second[x] or (a, b) in used or (a, b) == (y, x):
-                        continue
-                    s[x][y] = (a, b)
-                    used.add((a, b))
-                    col_first[y].add(a)
-                    col_second[x].add(b)
-                    moved = []
-                    for t in waiting:
-                        cell = _exchange_instance(s, *t)
-                        if cell is False:
-                            break
-                        if cell is not True:
-                            watch[cell].append(t)
-                            moved.append(cell)
-                    else:
-                        assign(idx + 1)
-                    for cell in moved:
-                        watch[cell].pop()
-                    used.discard((a, b))
-                    col_first[y].discard(a)
-                    col_second[x].discard(b)
-            s[x][y] = None
-            watch[x, y] = waiting
-
-        assign(0)
-
-    result = []
-    for index, (up, down) in enumerate(sorted(found)):
-        is_quandle = all(down[yy][xx] == yy for yy in range(m) for xx in range(m))
-        result.append(
-            FiniteBiquandle(
-                m=m,
-                up=up,
-                down=down,
-                kind="quandle" if is_quandle else "biquandle",
-                name=f"biq:{m}:{index:03d}",
-            )
-        )
-    return tuple(result)
+    return list(classes(m))

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import longvk._enumerate as enumerator
 import longvk.invariants as invariants
 from longvk.gauss import canonicalize, mirror, parse_gauss_code
 from longvk.invariants import (
@@ -388,3 +389,50 @@ def test_enumeration_counts_small_sizes():
     assert by_order[4][52] == WITNESS_STRUCTURE
     rows = [(x.name, x.up, x.down, x.kind) for m in range(1, 5) for x in by_order[m]]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == CATALOG_DIGEST
+
+
+# the same digest over order 5 alone, frozen from the exhaustive search
+ORDER_5_DIGEST = "bf092d29baff8b6f884523369c14a49cbf76946d9e2346ea909e5407620d37d8"
+
+
+def test_enumeration_order_5():
+    """1,062 classes, 22 of them quandles (OEIS A181769), in seconds."""
+    started = time.perf_counter()
+    structures = enumerate_biquandles(5)
+    elapsed = time.perf_counter() - started
+    assert len(structures) == 1062
+    assert sum(x.kind == "quandle" for x in structures) == 22
+    assert all(check_axioms(x) is True for x in structures)
+    rows = [(x.name, x.up, x.down, x.kind) for x in structures]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORDER_5_DIGEST
+    assert elapsed < 30.0, f"order 5 took {elapsed:.1f} s"
+
+
+def test_enumeration_runs_one_full_canonical_form_per_class(monkeypatch):
+    """Orderly search under the kink permutation's centralizer leaves one
+    table per class, so the m! relabelling runs once per class."""
+    calls = []
+    full_form = enumerator.canonical_table_form
+
+    def counted(up, down):
+        calls.append(up)
+        return full_form(up, down)
+
+    monkeypatch.setattr(enumerator, "canonical_table_form", counted)
+    fresh = enumerator.classes.__wrapped__(4)
+    assert len(calls) == len(fresh) == 98
+    assert list(fresh) == enumerate_biquandles(4)
+    assert enumerate_biquandles(4) is not enumerate_biquandles(4)
+
+
+def test_structure_file_refused_from_its_header(tmp_path):
+    """A file: structure past the ceiling is refused on its header line,
+    before any table row is read."""
+    path = tmp_path / "header_only.txt"
+    path.write_text("# no rows follow\n\n65 quandle\n")
+    with pytest.raises(InvalidStructure, match=r"size in structure spec .* must be in 1\.\.64"):
+        structure_from_spec(f"file:{path}")
+    path.write_text("2 quandle\n0 0\n1 1\n")
+    x = structure_from_spec(f"file:{path}")
+    assert (x.up, x.down, x.kind, x.name) == (
+        trivial_quandle(2).up, trivial_quandle(2).down, "quandle", f"file:{path}")

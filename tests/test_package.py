@@ -20,11 +20,25 @@ def test_no_module_rebinds_a_global():
             assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
 
 
-def test_import_does_not_load_the_cli():
-    """The command line stays out of every library import."""
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import longvk`` loads ``module``."""
     src = os.path.dirname(os.path.dirname(longvk.__file__))
-    probe = "import sys, longvk; print('longvk.cli' in sys.modules)"
+    probe = f"import sys, longvk; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return {"True": True, "False": False}[result.stdout.strip()]
+
+
+def test_import_does_not_load_the_cli():
+    """The command line stays out of every library import."""
+    assert not _loaded_by_import("longvk.cli")
+
+
+def test_import_does_not_load_the_enumerator():
+    """The biquandle enumerator is compiled on the first enumeration only,
+    behind a function bound in ``longvk.invariants`` that tracing wraps
+    and tests replace."""
+    assert not _loaded_by_import("longvk._enumerate")
+    assert "enumerate_biquandles" in vars(longvk.invariants)
+    assert longvk.invariants.enumerate_biquandles.__module__ == "longvk.invariants"
