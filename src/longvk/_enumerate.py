@@ -52,7 +52,6 @@ def canonical_table_form(
     return tuple(best[:m]), tuple(best[m:])
 
 
-@functools.lru_cache(maxsize=8)
 def _maps(m: int) -> tuple:
     """Every permutation of range(m) with its inverse, the identity first."""
     return tuple((p, tuple(sorted(range(m), key=p.__getitem__)))

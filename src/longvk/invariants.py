@@ -258,23 +258,35 @@ def structure_from_text(text: str, name: str = "") -> FiniteBiquandle:
     (row = over-in color, column = under-in color).  ``#`` lines and
     blank lines are skipped.
     """
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not lines:
+    return _read_structure(text.splitlines(), name)
+
+
+def structure_from_file(path: str) -> FiniteBiquandle:
+    with open(path, "r", encoding="utf-8") as handle:
+        return _read_structure(handle, f"file:{path}")
+
+
+def _read_structure(lines, name: str, spec: str = "") -> FiniteBiquandle:
+    """Parse the lines of a structure; given the ``spec`` that named the
+    file, refuse an order outside 1.._SPEC_MAX on the header line, before
+    any table row is read."""
+    content = (line.strip() for line in lines)
+    content = (line for line in content if line and not line.startswith("#"))
+    header = next(content, None)
+    if header is None:
         raise InvalidStructure("empty structure text")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise InvalidStructure(f"bad header {lines[0]!r}, want 'm kind'")
+        raise InvalidStructure(f"bad header {header!r}, want 'm kind'")
     try:
         m = int(head[0])
     except ValueError as exc:
         raise InvalidStructure(f"bad size {head[0]!r}") from exc
+    if spec and not 1 <= m <= _SPEC_MAX:
+        raise InvalidStructure(f"size in structure spec {spec!r} must be in 1..{_SPEC_MAX}")
     kind = head[1]
     rows_needed = m if kind == "quandle" else 2 * m
-    body = lines[1:]
+    body = list(content)
     if len(body) != rows_needed:
         raise InvalidStructure(f"expected {rows_needed} table rows, got {len(body)}")
 
@@ -296,11 +308,6 @@ def structure_from_text(text: str, name: str = "") -> FiniteBiquandle:
     else:
         down = parse_rows(body[m:])
     return FiniteBiquandle(m=m, up=up, down=down, kind=kind, name=name or f"file:{m}")
-
-
-def structure_from_file(path: str) -> FiniteBiquandle:
-    with open(path, "r", encoding="utf-8") as handle:
-        return structure_from_text(handle.read(), name=f"file:{path}")
 
 
 def structure_from_spec(spec: str) -> FiniteBiquandle:
@@ -326,12 +333,7 @@ def structure_from_spec(spec: str) -> FiniteBiquandle:
         raise InvalidStructure(f"no {spec!r} among the {len(classes)} classes of that order")
     if head == "file":
         with open(rest, "r", encoding="utf-8") as handle:
-            header = next((line for line in handle
-                           if line.strip() and not line.strip().startswith("#")), "")
-            size = (header.split() or [""])[0]
-            if size.lstrip("+-").isdigit():  # refused before any row is read
-                _bounded_int(size, spec, _SPEC_MAX)
-            return structure_from_text(header + handle.read(), name=f"file:{rest}")
+            return _read_structure(handle, f"file:{rest}", spec)
     raise InvalidStructure(f"unknown structure family {head!r}")
 
 

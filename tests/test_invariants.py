@@ -429,9 +429,11 @@ def test_structure_file_refused_from_its_header(tmp_path):
     """A file: structure past the ceiling is refused on its header line,
     before any table row is read."""
     path = tmp_path / "header_only.txt"
-    path.write_text("# no rows follow\n\n65 quandle\n")
-    with pytest.raises(InvalidStructure, match=r"size in structure spec .* must be in 1\.\.64"):
-        structure_from_spec(f"file:{path}")
+    # int() reads underscore digits, so 1_500 and 0_65 are orders too
+    for size in ("65", "1_500", "0_65", "0", "-3"):
+        path.write_text(f"# no rows follow\n\n{size} quandle\n")
+        with pytest.raises(InvalidStructure, match=r"size in structure spec .* in 1\.\.64"):
+            structure_from_spec(f"file:{path}")
     path.write_text("2 quandle\n0 0\n1 1\n")
     x = structure_from_spec(f"file:{path}")
     assert (x.up, x.down, x.kind, x.name) == (
