@@ -91,6 +91,7 @@ class FiniteBiquandle:
             if any(not (0 <= v < m) for row in table for v in row):
                 raise InvalidStructure(f"{table_name} entries out of range")
         object.__setattr__(self, "_axiom_report", None)
+        object.__setattr__(self, "_count", None)  # set by _counting
         s = tuple(
             tuple((self.up[x][y], self.down[y][x]) for y in range(m)) for x in range(m)
         )
@@ -377,16 +378,36 @@ def coloring_matrix(d: OpenGaussDiagram, x: FiniteBiquandle) -> ColoringMatrix:
     multiplied.  Linear structures over GF(p) count by one elimination
     pass, the others depth first on an explicit stack, one row per orbit
     of colors under the structure's automorphisms; nothing recurses.
+    The structure keeps its counting function after the first call.
     """
-    count = _counter(x.m, x.up, x.down, x.kind)
-    identity = result = mat_identity(x.m)
+    return _product(d, _counting(x), mat_identity(x.m), True)
+
+
+def _product(d: OpenGaussDiagram, count, identity: ColoringMatrix,
+             fill: bool) -> ColoringMatrix | None:
+    """The product of d's factor matrices under ``count``.  A factor not
+    yet in its cache is counted when ``fill`` is true; otherwise nothing
+    is counted and the answer is None."""
+    result = identity
     for endpoints, signs, known in _factors(d.endpoints, d.signs):
         matrix = known.get(count)
         if matrix is None:
+            if not fill:
+                return None
             matrix = known[count] = count(endpoints, signs)
         if matrix != identity:
             result = matrix if result is identity else mat_mul(result, matrix)
     return result
+
+
+def _counting(x: FiniteBiquandle):
+    """The counting function of ``x``, held on the structure once found,
+    so that a warm count does not hash both tables again."""
+    count = x._count
+    if count is None:
+        count = _counter(x.m, x.up, x.down, x.kind)
+        object.__setattr__(x, "_count", count)
+    return count
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -622,13 +643,26 @@ def commutator_witness(
     """First entry where M(a)M(b) and M(b)M(a) differ, or None.
 
     Returns ``(row, col, left_value, right_value)`` scanning rows first.
-    A witness proves that a#b and b#a are inequivalent.  Equal matrices,
-    or an identity on either side, commute, so nothing is multiplied.
+    A witness proves that a#b and b#a are inequivalent.  A scalar matrix
+    c*I (the identity, zero or any multiple) commutes with everything,
+    so a side whose matrix is scalar decides the answer without counting
+    the other side: both sides are first read from the factor caches,
+    then any side still missing is counted, one at a time.  Equal
+    matrices commute too, so only distinct non-scalar ones are multiplied.
     """
-    ma = coloring_matrix(a, x)
-    mb = coloring_matrix(b, x)
-    identity = mat_identity(x.m)
-    if ma == mb or ma == identity or mb == identity:
+    count, identity = _counting(x), mat_identity(x.m)
+    sides = []
+    for d in (a, b):
+        sides.append(_product(d, count, identity, False))
+        if sides[-1] is not None and _scalar(sides[-1], identity):
+            return None
+    for i, d in enumerate((a, b)):
+        if sides[i] is None:
+            sides[i] = coloring_matrix(d, x)
+            if _scalar(sides[i], identity):
+                return None
+    ma, mb = sides
+    if ma == mb:
         return None
     left = mat_mul(ma, mb)
     right = mat_mul(mb, ma)
@@ -637,6 +671,17 @@ def commutator_witness(
             if left[i][j] != right[i][j]:
                 return (i, j, left[i][j], right[i][j])
     return None
+
+
+def _scalar(matrix: ColoringMatrix, identity: ColoringMatrix) -> bool:
+    """Whether a coloring matrix is c*I.  Its entries are counts, never
+    negative, so when its diagonal is c throughout and its entries sum
+    to c*m, every other entry is zero."""
+    if matrix == identity:
+        return True
+    c = matrix[0][0]
+    return (sum(map(sum, matrix)) == c * len(matrix)
+            and all(row[i] == c for i, row in enumerate(matrix)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -95,9 +96,12 @@ def test_axiom_violations_are_named():
     report = check_axioms(broken)
     assert report is not True
     assert ("up_invertible", (0, 0, 1)) in report
-    for _ in range(2):  # a failed check is not remembered as a pass
+    for _ in range(3):  # a failed check is not remembered as a pass
         with pytest.raises(InvalidStructure):
             coloring_matrix(VT, broken)
+        with pytest.raises(InvalidStructure):
+            commutator_witness(VT, INTERLEAVED, broken)
+        assert broken._count is None
 
     d3 = dihedral_quandle(3)
     up = [list(row) for row in d3.up]
@@ -358,6 +362,87 @@ def test_commutator_witness_frozen_pair():
 def test_commutator_witness_none_for_commuting_pairs():
     assert commutator_witness(TREFOIL, VT, dihedral_quandle(3)) is None
     assert commutator_witness(VT, INTERLEAVED, dihedral_quandle(3)) is None
+
+
+def test_structure_holds_its_counter():
+    """A structure looks its counting function up once and keeps it;
+    equality, hashing and ``dataclasses.replace`` see only the tables."""
+    x = dihedral_quandle(3)
+    assert x._count is None
+    coloring_matrix(TREFOIL, x)
+    count = x._count
+    assert count is invariants._counter(x.m, x.up, x.down, x.kind)
+    commutator_witness(TREFOIL, INTERLEAVED, x)
+    assert x._count is count
+    fresh = dihedral_quandle(3)
+    assert fresh == x and hash(fresh) == hash(x)
+    copy = dataclasses.replace(x)
+    assert copy == x and hash(copy) == hash(x) and copy._count is None
+    renamed = dataclasses.replace(x, name="other")
+    assert renamed != x and renamed._count is None
+
+
+# Scalar coloring matrices other than the identity: 0 under biq:3:012,
+# 3*I under biq:3:002.
+SCALAR_SIDE = parse_gauss_code(
+    "O1- U2- U3- O4+ O3- U1- U4+ O5- U6+ O2- O7- O8+ U5- U8+ U7- O6+")
+
+
+def _eager_witness(ma, mb):
+    """The first entry where ma*mb and mb*ma differ, rows first, or None."""
+    left, right = mat_mul(ma, mb), mat_mul(mb, ma)
+    return next(((i, j, left[i][j], right[i][j]) for i in range(len(ma))
+                 for j in range(len(ma)) if left[i][j] != right[i][j]), None)
+
+
+def _clear_factor_caches():
+    invariants._factors.cache_clear()
+    invariants._matrices.cache_clear()
+
+
+def test_commutator_witness_matches_eager_witness(rng: random.Random):
+    """Counting one side at a time, and stopping at a scalar side, gives
+    the witness that full oracle matrices give, in both argument orders,
+    whatever the factor caches already hold."""
+    structures = [dihedral_quandle(3), dihedral_quandle(5), WITNESS_STRUCTURE]
+    structures += [x for m in (1, 2, 3) for x in enumerate_biquandles(m)]
+    frozen = (parse_gauss_code("O1+ U2- U1+ O2-"), parse_gauss_code("U1+ O2- O1+ U2-"))
+    # the frozen pair has a witness; SCALAR_SIDE is 0 or 3*I under two classes
+    pairs = [frozen, (SCALAR_SIDE, frozen[0])]
+    pairs += [(mixed_diagram(rng, 6), mixed_diagram(rng, 6)) for _ in range(12)]
+    for x in structures:
+        oracle = {}
+        for a, b in pairs:
+            for d in (a, b):
+                if d not in oracle:
+                    oracle[d] = oracle_transfer_matrix(d, x)
+            for first, second in ((a, b), (b, a)):
+                want = _eager_witness(oracle[first], oracle[second])
+                _clear_factor_caches()
+                assert commutator_witness(first, second, x) == want, (x.name, first, second)
+                assert commutator_witness(first, second, x) == want
+                _clear_factor_caches()
+                coloring_matrix(second, x)
+                assert commutator_witness(first, second, x) == want
+
+
+def test_scalar_side_settles_the_commutator():
+    """Once one side's matrix is known to be c*I, or is counted first and
+    found to be, the other side is not counted: its factor caches gain
+    no entry."""
+    cases = [(structure_from_spec("biq:3:012"), 0), (structure_from_spec("biq:3:002"), 3)]
+    others = [parse_gauss_code("O1+ U2- U1+ O2-"), INTERLEAVED, FIG8]
+    for x, c in cases:
+        assert coloring_matrix(SCALAR_SIDE, x) == tuple(
+            tuple(c if i == j else 0 for j in range(3)) for i in range(3))
+        for other, known_first in itertools.product(others, (True, False)):
+            _clear_factor_caches()
+            if known_first:
+                coloring_matrix(SCALAR_SIDE, x)
+                assert commutator_witness(other, SCALAR_SIDE, x) is None
+            assert commutator_witness(SCALAR_SIDE, other, x) is None
+            factors = invariants._factors(other.endpoints, other.signs)
+            assert factors and all(not known for _, _, known in factors), (x.name, other)
 
 
 def test_commutator_witness_agrees_with_products(rng: random.Random, corpus):
