@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from longvk.gauss import OVER, UNDER, OpenGaussDiagram, _unchecked
 from longvk.monoid import _canonical_cuts, _piece
@@ -377,7 +377,8 @@ def coloring_matrix(d: OpenGaussDiagram, x: FiniteBiquandle) -> ColoringMatrix:
     kink or poke apart share their entries; identity factors are not
     multiplied.  Linear structures over GF(p) count by one elimination
     pass, the others depth first on an explicit stack, one row per orbit
-    of colors under the structure's automorphisms; nothing recurses.
+    of colors under the structure's automorphisms and guesses only in the
+    start color's component, off which the matrix is zero; nothing recurses.
     The structure keeps its counting function after the first call.
     """
     return _product(d, _counting(x), mat_identity(x.m), True)
@@ -434,6 +435,11 @@ def _counter(m: int, up: tuple, down: tuple, kind: str):
     Keyed on the tables, not on the instance: ``default_catalog`` builds
     new structures per call, and each is validated once.  The bound
     holds every class up to order 5.
+
+    Join x to up[x][y] and y to down[y][x]: a passage moves its strand
+    along such an edge (by S at a positive crossing, S inverse at a
+    negative one).  A long knot is one strand, so every arc and guessed
+    color lies in the start color's component: the matrix is block-diagonal.
     """
     x = FiniteBiquandle(m=m, up=up, down=down, kind=kind)
     report = x.axiom_violations()
@@ -442,23 +448,30 @@ def _counter(m: int, up: tuple, down: tuple, kind: str):
     linear = _linear_coeffs(x)
     if linear is not None:
         return functools.partial(_linear_count, linear, m)
+    comps = [{a} for a in range(m)]
+    for a in range(m):
+        for b in {*up[a], *down[a]}:
+            if comps[b] is not comps[a]:
+                comps[a] |= comps[b]
+                for c in comps[b]:
+                    comps[c] = comps[a]
     # Per (sign, role): pairs[cur][g] is (this strand's out, the other
     # strand's out) when this strand enters with cur and the other with
-    # g; const[cur] is this strand's out if no g changes it, else -1.
+    # g; const[cur] is this strand's out if no g in comp(cur) changes it, else -1.
     tables = {}
     for sign, s in ((1, x._s), (-1, x._sinv)):
         for role in (UNDER, OVER):
             pairs = s if role == UNDER else tuple(
                 tuple(s[g][cur][::-1] for g in range(m)) for cur in range(m))
-            tables[sign, role] = (pairs, tuple(
-                row[0][0] if len({out for out, _ in row}) == 1 else -1 for row in pairs))
+            outs = ({pairs[cur][g][0] for g in comps[cur]} for cur in range(m))
+            tables[sign, role] = (pairs, tuple(o.pop() if len(o) == 1 else -1 for o in outs))
     orbits = [None] * m  # per color a: (least r in a's orbit, automorphism p with p(r) == a)
     for r in range(m):
         if orbits[r] is None:
             for a in range(r, m):
                 if orbits[a] is None and (p := _automorphism(x._s, m, r, a)):
                     orbits[a] = (r, p)
-    return functools.partial(_stack_count, tables, m, tuple(orbits))
+    return functools.partial(_stack_count, tables, m, tuple(orbits), tuple(map(sorted, comps)))
 
 
 def _automorphism(s: tuple, m: int, r: int, a: int) -> tuple[int, ...] | None:
@@ -488,19 +501,20 @@ def _automorphism(s: tuple, m: int, r: int, a: int) -> tuple[int, ...] | None:
     return None
 
 
-def _stack_count(tables: dict, m: int, orbits: tuple, endpoints: tuple,
-                 signs: tuple) -> ColoringMatrix:
+def _stack_count(tables: dict, m: int, orbits: tuple, comps: tuple,
+                 endpoints: tuple, signs: tuple) -> ColoringMatrix:
     """Count the colorings of a canonical diagram depth first.
 
     At a chord's first passage the current color either fixes the next
-    one whatever the other strand brings (the chord is deferred with
-    the current color) or each guess of the other strand's incoming
-    color is tried, storing its outgoing color.  The second passage
-    applies the deferred crossing or keeps only the matching guess.
-    A chord's slot is written before it is read, so backtracking off
-    the explicit stack undoes nothing.  An automorphism p of the
-    structure maps colorings to colorings, so row p(r) is row r with its
-    columns moved by p, and only each orbit's least color r is counted.
+    one whatever the other strand brings (the chord is deferred with the
+    current color) or each guess of the other strand's incoming color in
+    the start color's component (see ``_counter``) is tried, storing its
+    outgoing color.  The second passage applies the deferred crossing or
+    keeps only the matching guess.  A chord's slot is written before it
+    is read, so backtracking off the explicit stack undoes nothing.  An
+    automorphism p of the structure maps colorings to colorings, so row
+    p(r) is row r with its columns moved by p, and only each orbit's
+    least color r is counted.
     """
     plan, top = [], 0  # in canonical labels a chord begins above all earlier ones
     for label, role in endpoints:
@@ -517,7 +531,8 @@ def _stack_count(tables: dict, m: int, orbits: tuple, endpoints: tuple,
                 row[perm[b]] = value
             matrix.append(tuple(row))
             continue
-        stack = []  # (position, color there, next guess)
+        comp = comps[start]
+        stack = []  # (position, color there, index of the next guess in comp)
         idx, cur = 0, start
         while True:
             while idx < total:
@@ -526,8 +541,8 @@ def _stack_count(tables: dict, m: int, orbits: tuple, endpoints: tuple,
                     nxt = const[cur]
                     if nxt < 0:
                         stack.append((idx, cur, 1))
-                        nxt, other = pairs[cur][0]
-                        slot[label] = (0, other)
+                        nxt, other = pairs[cur][comp[0]]
+                        slot[label] = (comp[0], other)
                     else:
                         slot[label] = (-1, cur)
                     cur = nxt
@@ -544,9 +559,10 @@ def _stack_count(tables: dict, m: int, orbits: tuple, endpoints: tuple,
                 row[cur] += 1
             if not stack:
                 break
-            idx, cur, guess = stack.pop()
-            if guess + 1 < m:
-                stack.append((idx, cur, guess + 1))
+            idx, cur, k = stack.pop()
+            if k + 1 < len(comp):
+                stack.append((idx, cur, k + 1))
+            guess = comp[k]
             label, _, pairs, _ = plan[idx]
             cur, other = pairs[cur][guess]
             slot[label] = (guess, other)

@@ -218,18 +218,40 @@ LONG_CHAIN_TABLES = (
 )
 
 
+def _components(x: FiniteBiquandle) -> list[frozenset]:
+    """Per color, its component: u joined to up[u][o], o to down[o][u]."""
+    root = list(range(x.m))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for u, o in itertools.product(range(x.m), repeat=2):
+        for a, b in ((u, x.up[u][o]), (o, x.down[o][u])):
+            root[find(a)] = find(b)
+    return [frozenset(b for b in range(x.m) if find(b) == find(a)) for a in range(x.m)]
+
+
 def test_coloring_matrix_matches_transfer_oracle(rng: random.Random):
+    """Every class of order <= 4, with dihedral quandles up to order 7.
+    The oracle knows nothing of components, yet reads 0 wherever the
+    two end colors lie in different ones."""
     structures = [dihedral_quandle(3), dihedral_quandle(5), dihedral_quandle(7),
                   trivial_quandle(2)]
-    structures += enumerate_biquandles(3) + enumerate_biquandles(4)[::5]
+    structures += [x for m in range(1, 5) for x in enumerate_biquandles(m)]
     for x in structures:
+        comps = _components(x)
         # the oracle's cost grows as m^(open chords + 2)
         width = {2: 5, 3: 4, 4: 3, 5: 3}.get(x.m, 2)
         primes = [[rng.randint(1, 12)] for _ in range(4)]
         products = [[rng.randint(1, 5) for _ in range(rng.randint(2, 4))] for _ in range(2)]
         for sizes in primes + products:
             d = narrow_diagram(rng, sizes, width)
-            assert coloring_matrix(d, x) == oracle_transfer_matrix(d, x), (x.name, d)
+            oracle = oracle_transfer_matrix(d, x)
+            assert all(oracle[a][b] == 0 for a in range(x.m) for b in range(x.m)
+                       if comps[a] != comps[b]), (x.name, d)
+            assert coloring_matrix(d, x) == oracle, (x.name, d)
 
 
 def test_coloring_matrix_ignores_label_values():
@@ -325,6 +347,23 @@ def test_counter_orbits_are_automorphism_orbits():
             reps = len({r for r, _ in orbits})
             orbit_counts[reps] = orbit_counts.get(reps, 0) + 1
     assert orbit_counts == {1: 19, 2: 57, 3: 22}
+
+
+def test_counter_components_are_the_structures_components():
+    """The counter guesses inside exactly the components found here by
+    union-find; pins how the order-4 classes split."""
+    structures = [x for m in range(1, 5) for x in enumerate_biquandles(m)]
+    structures += [trivial_quandle(4), dihedral_quandle(4), dihedral_quandle(6)]
+    profile: dict[tuple, int] = {}
+    for x in structures:
+        comps = _components(x)
+        count = invariants._counter(x.m, x.up, x.down, x.kind)
+        if count.func is invariants._stack_count:
+            assert [frozenset(c) for c in count.args[3]] == comps, x.name
+        if x.m == 4 and x.name.startswith("biq:"):
+            sizes = tuple(sorted(len(c) for c in set(comps)))
+            profile[sizes] = profile.get(sizes, 0) + 1
+    assert profile == {(4,): 17, (2, 2): 32, (1, 3): 29, (1, 1, 2): 19, (1, 1, 1, 1): 1}
 
 
 def test_counter_prepares_large_symmetric_structures_fast():
@@ -481,7 +520,8 @@ ORDER_5_DIGEST = "bf092d29baff8b6f884523369c14a49cbf76946d9e2346ea909e5407620d37
 
 
 def test_enumeration_order_5():
-    """1,062 classes, 22 of them quandles (OEIS A181769), in seconds."""
+    """1,062 classes, 22 of them quandles (OEIS A181769), in seconds;
+    31 of them have a single component."""
     started = time.perf_counter()
     structures = enumerate_biquandles(5)
     elapsed = time.perf_counter() - started
@@ -490,6 +530,7 @@ def test_enumeration_order_5():
     assert all(check_axioms(x) is True for x in structures)
     rows = [(x.name, x.up, x.down, x.kind) for x in structures]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == ORDER_5_DIGEST
+    assert sum(len(set(_components(x))) == 1 for x in structures) == 31
     assert elapsed < 30.0, f"order 5 took {elapsed:.1f} s"
 
 
